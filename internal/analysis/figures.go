@@ -237,7 +237,14 @@ func Figure5GenreOwnership(s *dataset.Snapshot) []GenreOwnershipRow {
 		}
 		rows = append(rows, row)
 	}
-	sort.Slice(rows, func(a, b int) bool { return rows[a].Owned > rows[b].Owned })
+	// Rows come out of map iteration, so equal counts need a tie-break
+	// for the render to be deterministic.
+	sort.Slice(rows, func(a, b int) bool {
+		if rows[a].Owned != rows[b].Owned {
+			return rows[a].Owned > rows[b].Owned
+		}
+		return rows[a].Genre < rows[b].Genre
+	})
 	if len(rows) > 0 {
 		rows[0].OwnedShareTop = true
 	}

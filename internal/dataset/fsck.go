@@ -269,8 +269,9 @@ func (s *Snapshot) fsckInto(r *Report, workers int) {
 	// its own report; the merge in shard order reproduces the serial
 	// violation order per class.
 	runShards(workers, len(s.Users), r, func(lo, hi int, sub *Report) {
+		owned := make(map[uint32]int32)
 		for i := lo; i < hi; i++ {
-			s.fsckUser(ix, i, sub)
+			s.fsckUser(ix, i, owned, sub)
 		}
 	})
 	r.RecordsVerified += int64(len(s.Games))
@@ -315,8 +316,10 @@ func runShards(workers, n int, r *Report, verify func(lo, hi int, sub *Report)) 
 }
 
 // fsckUser runs the per-user referential checks against the shared
-// index, accumulating into the shard report.
-func (s *Snapshot) fsckUser(ix *fsckIndex, i int, r *Report) {
+// index, accumulating into the shard report. owned is the shard's
+// duplicate-ownership scratch map, reused across users: an app is owned
+// by user i when its stamp is i+1, so no per-user clear or allocation.
+func (s *Snapshot) fsckUser(ix *fsckIndex, i int, owned map[uint32]int32, r *Report) {
 	u := &s.Users[i]
 	r.RecordsVerified++
 
@@ -338,12 +341,12 @@ func (s *Snapshot) fsckUser(ix *fsckIndex, i int, r *Report) {
 
 	// Ownership: app IDs exist in the catalog, playtimes respect the
 	// two-week <= lifetime >= 0 invariants, no app owned twice.
-	owned := make(map[uint32]bool, len(u.Games))
+	stamp := int32(i) + 1
 	for _, g := range u.Games {
-		if owned[g.AppID] {
+		if owned[g.AppID] == stamp {
 			r.add(ViolationDuplicateOwnership, "user %d owns app %d twice", u.SteamID, g.AppID)
 		}
-		owned[g.AppID] = true
+		owned[g.AppID] = stamp
 		if !ix.apps[g.AppID] {
 			r.add(ViolationOwnedAppUnknown, "user %d owns app %d which is not in the catalog", u.SteamID, g.AppID)
 		}

@@ -1,29 +1,43 @@
 // Streaming fsck for sharded snapshot directories. The in-memory fsck
 // decodes the whole snapshot and then cross-references it; at paper scale
 // that decode is exactly what the sharded layout exists to avoid. This
-// file runs the same checks as multiple bounded-memory passes over the
-// section iterators:
+// file runs the same checks as bounded-memory passes over the section
+// iterators, decoding each section at most twice:
 //
 //	raw bytes    per-segment CRC-32C + byte counts, concatenated SHA-256
 //	games        catalog set, duplicate detection, canonical CRC
 //	groups #1    member-set index (sorted copies), duplicates, CRC
-//	users #1     SteamID census, duplicate detection, canonical CRC
-//	users #2     friend-edge index + ownership/playtime/membership checks
-//	users #3     self-friend / friend-unknown / friend-asymmetric
+//	users        SteamID census, canonical CRC, ownership/playtime/
+//	             membership checks; collects friend IDs and membership
+//	             pairs for the in-memory steps below
+//	(memory)     duplicate-user; friend IDs resolved once against the
+//	             census into the sorted edge index; self-friend /
+//	             friend-unknown / friend-asymmetric in record order
 //	groups #2    member-unknown / membership-asymmetric (group side)
 //
-// What stays resident is index data — packed int32-pair edge and
-// membership arrays, the sorted ID census, sorted member slabs — a few
-// dozen bytes per relation instead of the decoded records themselves.
+// What stays resident is index data, not decoded records:
+//
+//	users        census IDs 8 B, sorted view 12 B (none when the stream is
+//	             already in SteamID order), first-occurrence position 4 B,
+//	             friend-list end offset 8 B, edge-row offset 4 B
+//	friend edge  flat friend ID (then its census position) 8 B, packed
+//	             edge-index entry 8 B
+//	membership   packed (user, group) pair 8 B
+//	group        sorted member copy 8 B per member, GID index entry
+//
+// At 5 M users and 3.7 directed edges per user that is about 120 MB for
+// users (180 MB for an unsorted stream) and 300 MB for friend edges,
+// before slice-growth slack: well inside the 2 GiB stage gate.
 //
 // The report is identical to what Fsck produces on the decoded snapshot:
-// every violation class is emitted by exactly one pass in record order,
-// and Report keys samples per class, so per-class counts and sample
-// prefixes match the in-memory pass (the property tests assert this).
-// The one representational difference: user and group references are
-// resolved through first-occurrence indexes over the ID census, exactly
-// mirroring the in-memory index maps (userAt first-wins, memberOf
-// last-wins, friend edges keyed by ID pairs).
+// every violation class is emitted by one step in record order (the
+// user-side membership-asymmetric emissions all precede the group-side
+// ones, as in memory), and Report keys samples per class, so per-class
+// counts and sample prefixes match the in-memory pass (the property tests
+// assert this). The one representational difference: user and group
+// references are resolved through first-occurrence indexes over the ID
+// census, exactly mirroring the in-memory index maps (userAt first-wins,
+// memberOf last-wins, friend edges keyed by ID pairs).
 
 package dataset
 
@@ -161,11 +175,19 @@ func (st *fsckScanState) verifySections(m *Manifest) []Violation {
 // occurrence, matching userAt's first-wins insert.
 type idCensus struct {
 	ids  []uint64 // stream order
-	keys []uint64 // sorted
-	pos  []int32  // keys[i] appeared at stream position pos[i]
+	keys []uint64 // sorted; aliases ids when the stream is already sorted
+	pos  []int32  // keys[i] appeared at stream position pos[i]; nil when keys aliases ids
 }
 
+// build derives the sorted view. Canonical snapshots store users in
+// SteamID order, so the common case is a stream that is its own sorted
+// view: BinarySearch lands on the first of any run of equal IDs, which is
+// the first occurrence, and no position table is needed.
 func (c *idCensus) build() {
+	if slices.IsSorted(c.ids) {
+		c.keys, c.pos = c.ids, nil
+		return
+	}
 	n := len(c.ids)
 	c.pos = make([]int32, n)
 	for i := range c.pos {
@@ -184,6 +206,9 @@ func (c *idCensus) find(id uint64) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
+	if c.pos == nil {
+		return int32(i), true
+	}
 	return c.pos[i], true
 }
 
@@ -194,6 +219,35 @@ func hasPair(sorted []uint64, key uint64) bool {
 	_, ok := slices.BinarySearch(sorted, key)
 	return ok
 }
+
+// edgeIndex is the sorted friend-edge set packPair(from, to) over census
+// positions, with each from-position's row located up front so a lookup
+// searches only that user's few edges.
+type edgeIndex struct {
+	edges []uint64 // sorted
+	rows  []int32  // edges[rows[u]:rows[u+1]] all have from-position u
+}
+
+func newEdgeIndex(edges []uint64, users int) edgeIndex {
+	slices.Sort(edges)
+	rows := make([]int32, users+1)
+	e := 0
+	for u := range rows {
+		for e < len(edges) && int32(edges[e]>>32) < int32(u) {
+			e++
+		}
+		rows[u] = int32(e)
+	}
+	return edgeIndex{edges: edges, rows: rows}
+}
+
+func (x edgeIndex) has(from, to int32) bool {
+	return hasPair(x.edges[x.rows[from]:x.rows[from+1]], packPair(from, to))
+}
+
+// unresolved marks a flat friend entry whose ID is not in the census;
+// resolved entries hold a census position, which is always below 2^31.
+const unresolved = ^uint64(0)
 
 // streamSection iterates one section of the snapshot with segment
 // verification off (the raw pass already judged the bytes), returning the
@@ -276,52 +330,37 @@ func fsckScan(path string, man *Manifest, _ options) (*fsckScanState, error) {
 	}
 	st.crc[sectionGroups] = c.h.Sum32()
 
-	// Users, pass 1: the SteamID census and canonical checksum.
+	// Users, one pass: the SteamID census and canonical checksum, every
+	// per-user check that needs no census (ownership, playtime,
+	// membership), and the raw material for the friend checks — each
+	// user's friend IDs appended to one flat list, and membership pairs
+	// keyed by stream position. The ownership map holds stream position
+	// + 1 per app, so it is never cleared between users.
 	census := &idCensus{ids: make([]uint64, 0, est(sectionUsers))}
+	var (
+		friends []uint64 // every user's friend IDs, flat in record order
+		ends    []int    // user i's friends are friends[ends[i-1]:ends[i]]
+		pairs   []uint64 // packPair(stream position, group index)
+	)
+	owned := make(map[uint32]int32)
 	c = canon{h: crc32.New(castagnoli)}
 	_, err = streamSection(path, sectionUsers, func(rec *Record) {
-		c.user(&rec.User)
-		census.ids = append(census.ids, rec.User.SteamID)
-		st.users++
-	})
-	if err != nil {
-		return st, err
-	}
-	st.crc[sectionUsers] = c.h.Sum32()
-	census.build()
-	for i, id := range census.ids {
-		if at, _ := census.find(id); at != int32(i) {
-			st.sub.add(ViolationDuplicateUser, "user %d appears more than once", id)
-		}
-	}
-
-	// Users, pass 2: pack the friend-edge index (canonical indexes stand
-	// in for the in-memory ID-pair set — duplicate-ID records collapse
-	// onto one index exactly as map keys collapse onto one ID) and run
-	// every per-user check that needs no global edge view: ownership,
-	// playtime, membership. Membership pairs feed the group-side pass and
-	// come from first occurrences only, because the in-memory group check
-	// consults userAt's first-wins record.
-	var edges, pairs []uint64
-	owned := make(map[uint32]bool)
-	streamPos := int32(0)
-	_, err = streamSection(path, sectionUsers, func(rec *Record) {
 		u := &rec.User
-		i := streamPos
-		streamPos++
-		ci, _ := census.find(u.SteamID)
+		i := int32(st.users)
+		c.user(u)
+		census.ids = append(census.ids, u.SteamID)
+		st.users++
 		st.sub.RecordsVerified++
 		for _, f := range u.Friends {
-			if fi, ok := census.find(f.SteamID); ok {
-				edges = append(edges, packPair(ci, fi))
-			}
+			friends = append(friends, f.SteamID)
 		}
-		clear(owned)
+		ends = append(ends, len(friends))
+		stamp := i + 1
 		for _, g := range u.Games {
-			if owned[g.AppID] {
+			if owned[g.AppID] == stamp {
 				st.sub.add(ViolationDuplicateOwnership, "user %d owns app %d twice", u.SteamID, g.AppID)
 			}
-			owned[g.AppID] = true
+			owned[g.AppID] = stamp
 			if !apps[g.AppID] {
 				st.sub.add(ViolationOwnedAppUnknown, "user %d owns app %d which is not in the catalog", u.SteamID, g.AppID)
 			}
@@ -340,38 +379,74 @@ func fsckScan(path string, man *Manifest, _ options) (*fsckScanState, error) {
 			if _, found := slices.BinarySearch(members[gi], u.SteamID); !found {
 				st.sub.add(ViolationMembershipAsymmetric, "user %d lists group %d but the group does not list the user", u.SteamID, gid)
 			}
-			if ci == i {
-				pairs = append(pairs, packPair(ci, gi))
-			}
+			pairs = append(pairs, packPair(i, gi))
 		}
 	})
 	if err != nil {
 		return st, err
 	}
-	slices.Sort(edges)
+	st.crc[sectionUsers] = c.h.Sum32()
+
+	// Census: duplicate IDs, and each record's canonical position (its
+	// ID's first occurrence), which stands in for the ID in every index —
+	// duplicate-ID records collapse onto one position exactly as map keys
+	// collapse onto one ID.
+	census.build()
+	first := make([]int32, len(census.ids))
+	for i, id := range census.ids {
+		first[i], _ = census.find(id)
+		if first[i] != int32(i) {
+			st.sub.add(ViolationDuplicateUser, "user %d appears more than once", id)
+		}
+	}
+	// The group-side check consults userAt's first-wins record. Pairs are
+	// keyed by stream position and looked up by first-occurrence position,
+	// so a later duplicate's pairs can never match: no filter is needed.
 	slices.Sort(pairs)
 
-	// Users, pass 3: friend checks against the complete edge index.
-	_, err = streamSection(path, sectionUsers, func(rec *Record) {
-		u := &rec.User
-		ci, _ := census.find(u.SteamID)
-		for _, f := range u.Friends {
-			if f.SteamID == u.SteamID {
-				st.sub.add(ViolationSelfFriend, "user %d lists itself as a friend", u.SteamID)
-				continue
-			}
-			fi, ok := census.find(f.SteamID)
+	// Friend edges: resolve every friend ID against the census once,
+	// replacing it in the flat list with its position (or unresolved, with
+	// the raw ID kept aside for the report), and index the edges.
+	var unknown []uint64
+	edges := make([]uint64, 0, len(friends))
+	lo := 0
+	for i, end := range ends {
+		for k := lo; k < end; k++ {
+			fi, ok := census.find(friends[k])
 			if !ok {
-				st.sub.add(ViolationFriendUnknown, "user %d lists unknown account %d as a friend", u.SteamID, f.SteamID)
+				unknown = append(unknown, friends[k])
+				friends[k] = unresolved
 				continue
 			}
-			if !hasPair(edges, packPair(fi, ci)) {
-				st.sub.add(ViolationFriendAsymmetric, "user %d lists %d but %d does not list %d", u.SteamID, f.SteamID, f.SteamID, u.SteamID)
+			edges = append(edges, packPair(first[i], fi))
+			friends[k] = uint64(fi)
+		}
+		lo = end
+	}
+	ex := newEdgeIndex(edges, len(census.ids))
+
+	// Friend checks, in record order. A self-listing resolves to the
+	// user's own canonical position.
+	lo = 0
+	for i, end := range ends {
+		id, ci := census.ids[i], first[i]
+		for _, ref := range friends[lo:end] {
+			if ref == unresolved {
+				st.sub.add(ViolationFriendUnknown, "user %d lists unknown account %d as a friend", id, unknown[0])
+				unknown = unknown[1:]
+				continue
+			}
+			fi := int32(ref)
+			if fi == ci {
+				st.sub.add(ViolationSelfFriend, "user %d lists itself as a friend", id)
+				continue
+			}
+			if !ex.has(fi, ci) {
+				fid := census.ids[fi]
+				st.sub.add(ViolationFriendAsymmetric, "user %d lists %d but %d does not list %d", id, fid, fid, id)
 			}
 		}
-	})
-	if err != nil {
-		return st, err
+		lo = end
 	}
 
 	// Groups, pass 2: group-side member checks. The membership lookup

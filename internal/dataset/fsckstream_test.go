@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -90,48 +91,78 @@ func TestFsckShardedMatchesInMemoryDirty(t *testing.T) {
 	mutations := []struct {
 		name   string
 		mutate func(*Snapshot)
+		// class, when set, must be reported more than maxSamplesPerClass
+		// times, so the sample prefix is cut from many records.
+		class ViolationClass
 	}{
 		{"friend-unknown", func(s *Snapshot) {
 			s.Users[0].Friends = append(s.Users[0].Friends, FriendRecord{SteamID: 999})
-		}},
+		}, ""},
 		{"friend-asymmetric", func(s *Snapshot) {
 			s.Users[1].Friends = nil
-		}},
+		}, ""},
 		{"self-friend", func(s *Snapshot) {
 			s.Users[0].Friends = append(s.Users[0].Friends, FriendRecord{SteamID: s.Users[0].SteamID})
-		}},
+		}, ""},
 		{"owned-app-unknown", func(s *Snapshot) {
 			s.Users[0].Games = append(s.Users[0].Games, OwnershipRecord{AppID: 4040404, TotalMinutes: 1})
-		}},
+		}, ""},
 		{"duplicate-ownership", func(s *Snapshot) {
 			u := &s.Users[firstOwner(s)]
 			u.Games = append(u.Games, u.Games[0])
-		}},
+		}, ""},
 		{"playtime-invariant", func(s *Snapshot) {
 			s.Users[firstOwner(s)].Games[0].TwoWeekMinutes = 1 << 30
-		}},
+		}, ""},
 		{"membership-group-unknown", func(s *Snapshot) {
 			s.Users[0].Groups = append(s.Users[0].Groups, 40404)
-		}},
+		}, ""},
 		{"membership-asymmetric-user-side", func(s *Snapshot) {
 			s.Groups[0].Members = nil
-		}},
+		}, ""},
 		{"membership-asymmetric-group-side", func(s *Snapshot) {
 			s.Groups[0].Members = append(s.Groups[0].Members, s.Users[2].SteamID)
-		}},
+		}, ""},
 		{"member-unknown", func(s *Snapshot) {
 			s.Groups[0].Members = append(s.Groups[0].Members, 999)
-		}},
+		}, ""},
 		{"duplicate-user", func(s *Snapshot) {
 			s.Users = append(s.Users, UserRecord{SteamID: s.Users[0].SteamID,
 				Friends: []FriendRecord{{SteamID: s.Users[1].SteamID}}})
-		}},
+		}, ""},
 		{"duplicate-game", func(s *Snapshot) {
 			s.Games = append(s.Games, s.Games[0])
-		}},
+		}, ""},
 		{"duplicate-group", func(s *Snapshot) {
 			s.Groups = append(s.Groups, GroupRecord{GID: s.Groups[0].GID, Members: s.Groups[0].Members})
-		}},
+		}, ""},
+		{"friend-asymmetric-many", func(s *Snapshot) {
+			for i := 1; i <= 20; i++ {
+				s.Users[i].Friends = nil
+			}
+		}, ViolationFriendAsymmetric},
+		{"duplicate-user-with-links", func(s *Snapshot) {
+			// The second record of a groupless user joins group 0, which
+			// lists the user back. Only the first record counts for the
+			// group-side check, so the group still sees an asymmetry. The
+			// copy sits right after the original, so the users section
+			// stays in SteamID order.
+			x := groupless(s)
+			s.Groups[0].Members = append(s.Groups[0].Members, s.Users[x].SteamID)
+			s.Users = slices.Insert(s.Users, x+1, UserRecord{SteamID: s.Users[x].SteamID,
+				Friends: []FriendRecord{{SteamID: s.Users[2].SteamID}, {SteamID: s.Users[3].SteamID}, {SteamID: 999}},
+				Groups:  []uint64{s.Groups[0].GID, s.Groups[1].GID}})
+		}, ""},
+		{"duplicate-ownership-after-large-library", func(s *Snapshot) {
+			// User 10 owns the whole catalog; user 11 then owns two of
+			// those apps, one of them twice: exactly one duplicate.
+			s.Users[10].Games = nil
+			for _, g := range s.Games {
+				s.Users[10].Games = append(s.Users[10].Games, OwnershipRecord{AppID: g.AppID, TotalMinutes: 1})
+			}
+			a, b := s.Games[0].AppID, s.Games[1].AppID
+			s.Users[11].Games = []OwnershipRecord{{AppID: a}, {AppID: b}, {AppID: b}}
+		}, ""},
 	}
 
 	for _, tc := range mutations {
@@ -150,7 +181,11 @@ func TestFsckShardedMatchesInMemoryDirty(t *testing.T) {
 			if rs.Clean() {
 				t.Fatalf("mutation %s produced a clean report", tc.name)
 			}
+			if tc.class != "" && rs.Counts[tc.class] <= maxSamplesPerClass {
+				t.Fatalf("%s reported %d times, want more than %d", tc.class, rs.Counts[tc.class], maxSamplesPerClass)
+			}
 			compareReports(t, rs, rd)
+			compareInMemory(t, s, rs)
 		})
 	}
 
@@ -169,7 +204,34 @@ func TestFsckShardedMatchesInMemoryDirty(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareReports(t, rs, rd)
+		compareInMemory(t, s, rs)
 	})
+}
+
+// compareInMemory asserts Snapshot.Fsck on the decoded snapshot reports
+// the same violations as FsckFile did on its single-file form.
+func compareInMemory(t *testing.T, s *Snapshot, file *Report) {
+	t.Helper()
+	mem := s.Fsck()
+	if mem.RecordsVerified != file.RecordsVerified {
+		t.Fatalf("RecordsVerified: in-memory %d, file %d", mem.RecordsVerified, file.RecordsVerified)
+	}
+	if !reflect.DeepEqual(mem.Counts, file.Counts) {
+		t.Fatalf("Counts diverge:\nin-memory %v\nfile      %v", mem.Counts, file.Counts)
+	}
+	if !reflect.DeepEqual(mem.Samples, file.Samples) {
+		t.Fatalf("Samples diverge:\nin-memory %v\nfile      %v", mem.Samples, file.Samples)
+	}
+}
+
+// groupless returns the index of the first user in no group.
+func groupless(s *Snapshot) int {
+	for i := range s.Users {
+		if len(s.Users[i].Groups) == 0 {
+			return i
+		}
+	}
+	panic("every user is in a group")
 }
 
 // Segment corruption must be localized: the report names the damaged

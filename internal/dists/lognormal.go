@@ -104,22 +104,50 @@ func FitLognormalFull(data []float64) Lognormal {
 // FitLognormalTail computes the MLE of a lognormal conditioned on
 // x >= xmin, via Nelder–Mead on (mu, log sigma). The truncated likelihood
 // has no closed form. Initialized from the untruncated MLE.
+//
+// The objective is LogPDF summed over the tail, with ln x read from a
+// per-fit cache instead of recomputed on every evaluation. The cache keeps
+// each point's term the same expression LogPDF evaluates, so the fit is
+// bit-identical to summing LogPDF. Reducing the sum to Σ ln x and Σ ln²x
+// would be cheaper still, but it reorders the floating-point arithmetic
+// and moves the fitted parameters in their last bits, which is enough to
+// change Table 4 renders.
 func FitLognormalTail(tail []float64, xmin float64) Lognormal {
 	init := FitLognormalFull(tail)
-	negLL := func(p []float64) float64 {
+	x0 := []float64{init.Mu, math.Log(init.Sigma)}
+	best, _ := NelderMead(lognormalTailNegLL(tail, xmin), x0, []float64{0.5, 0.3}, 400)
+	return NewLognormal(best[0], math.Exp(best[1]), xmin)
+}
+
+// lognormalTailNegLL is FitLognormalTail's objective over (mu, ln sigma).
+func lognormalTailNegLL(tail []float64, xmin float64) func(p []float64) float64 {
+	logs := logsOf(tail)
+	return func(p []float64) float64 {
 		mu := p[0]
 		sigma := math.Exp(p[1])
 		l := NewLognormal(mu, sigma, xmin)
 		ll := 0.0
-		for _, x := range tail {
-			ll += l.LogPDF(x)
+		for i, x := range tail {
+			if x < l.Xmin || x <= 0 {
+				return math.MaxFloat64
+			}
+			z := (logs[i] - l.Mu) / l.Sigma
+			logPDF := -math.Log(x*l.Sigma*math.Sqrt(2*math.Pi)) - z*z/2
+			ll += logPDF - l.logCCDFXmin
 		}
 		if math.IsNaN(ll) || math.IsInf(ll, 0) {
 			return math.MaxFloat64
 		}
 		return -ll
 	}
-	x0 := []float64{init.Mu, math.Log(init.Sigma)}
-	best, _ := NelderMead(negLL, x0, []float64{0.5, 0.3}, 400)
-	return NewLognormal(best[0], math.Exp(best[1]), xmin)
+}
+
+// logsOf returns ln x for every point, the per-fit cache the tail
+// likelihoods read instead of calling math.Log per evaluation.
+func logsOf(xs []float64) []float64 {
+	logs := make([]float64, len(xs))
+	for i, x := range xs {
+		logs[i] = math.Log(x)
+	}
+	return logs
 }

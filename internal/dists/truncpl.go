@@ -61,7 +61,8 @@ func (t TruncatedPowerLaw) CDF(x float64) float64 {
 
 // FitTruncatedPowerLaw computes the MLE of (α, λ) on tail data >= xmin via
 // Nelder–Mead over (α, ln λ). Initialized from the pure power-law MLE with
-// a small cutoff.
+// a small cutoff. The objective is LogPDF summed over the tail with ln x
+// cached per fit, bit-identical to calling LogPDF.
 func FitTruncatedPowerLaw(tail []float64, xmin float64) TruncatedPowerLaw {
 	pl := FitPowerLaw(tail, xmin)
 	mean := 0.0
@@ -73,25 +74,7 @@ func FitTruncatedPowerLaw(tail []float64, xmin float64) TruncatedPowerLaw {
 	if lambda0 <= 0 || math.IsInf(lambda0, 0) || math.IsNaN(lambda0) {
 		lambda0 = 1e-6
 	}
-	negLL := func(p []float64) float64 {
-		alpha := p[0]
-		lambda := math.Exp(p[1])
-		if alpha <= 0 || alpha > 20 || lambda <= 0 || math.IsInf(lambda, 0) {
-			return math.MaxFloat64
-		}
-		t := NewTruncatedPowerLaw(alpha, lambda, xmin)
-		if math.IsNaN(t.logNorm) || math.IsInf(t.logNorm, 0) {
-			return math.MaxFloat64
-		}
-		ll := 0.0
-		for _, x := range tail {
-			ll += t.LogPDF(x)
-		}
-		if math.IsNaN(ll) || math.IsInf(ll, 0) {
-			return math.MaxFloat64
-		}
-		return -ll
-	}
+	negLL := truncatedPowerLawNegLL(tail, xmin)
 	// The likelihood surface can be multi-modal in λ when the data is a
 	// pure power law; try a few starting cutoffs and keep the best.
 	bestV := math.MaxFloat64
@@ -105,6 +88,34 @@ func FitTruncatedPowerLaw(tail []float64, xmin float64) TruncatedPowerLaw {
 		}
 	}
 	return NewTruncatedPowerLaw(best[0], math.Exp(best[1]), xmin)
+}
+
+// truncatedPowerLawNegLL is FitTruncatedPowerLaw's objective over
+// (α, ln λ). See FitLognormalTail for why ln x is cached.
+func truncatedPowerLawNegLL(tail []float64, xmin float64) func(p []float64) float64 {
+	logs := logsOf(tail)
+	return func(p []float64) float64 {
+		alpha := p[0]
+		lambda := math.Exp(p[1])
+		if alpha <= 0 || alpha > 20 || lambda <= 0 || math.IsInf(lambda, 0) {
+			return math.MaxFloat64
+		}
+		t := NewTruncatedPowerLaw(alpha, lambda, xmin)
+		if math.IsNaN(t.logNorm) || math.IsInf(t.logNorm, 0) {
+			return math.MaxFloat64
+		}
+		ll := 0.0
+		for i, x := range tail {
+			if x < t.Xmin {
+				return math.MaxFloat64
+			}
+			ll += t.logNorm - t.Alpha*logs[i] - t.Lambda*x
+		}
+		if math.IsNaN(ll) || math.IsInf(ll, 0) {
+			return math.MaxFloat64
+		}
+		return -ll
+	}
 }
 
 // Exponential is the shifted exponential p(x) = λ e^{-λ(x-xmin)} for
