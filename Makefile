@@ -12,9 +12,10 @@ race:
 	$(GO) test -race ./...
 
 # verify is the tier-1 gate: everything builds, vet is clean, all tests
-# pass, and the test suite is race-clean. The crash-tagged harness must at
-# least compile (vet + a no-op test run), so it cannot rot unnoticed.
-verify: build vet test race
+# pass, the test suite is race-clean, and the committed example snapshot
+# passes fsck at the CLI. The crash-tagged harness must at least compile
+# (vet + a no-op test run), so it cannot rot unnoticed.
+verify: build vet test race fsck
 	$(GO) vet -tags crash ./internal/crawler ./internal/fleet
 	$(GO) test -tags crash -run '^$$' ./internal/crawler ./internal/fleet
 	$(GO) vet -tags scale ./internal/scale
@@ -64,9 +65,10 @@ fsck:
 #     and full-pool variant of each.
 #   BENCH_obs.json — obs hot-path costs (counter add, histogram observe,
 #     8-goroutine contention): the observability layer's overhead budget.
-#   BENCH_datapath.json — the parallel data plane at 500k-user scale
-#     (generate, snapshot encode/decode, fsck; workers=1 vs workers=max)
-#     plus the hand-rolled JSONL codec against encoding/json.
+#   BENCH_datapath.json — the data plane at 500k-user scale (generate
+#     at workers=1 vs workers=max; Save and Load through a temp file,
+#     Snapshot.Fsck) plus the hand-rolled JSONL codec against
+#     encoding/json.
 # scalebench is the out-of-core proof (DESIGN.md §16), two parts:
 #   1. the scale-tagged byte-identity harness — at 500k users the
 #      streamed encode must match the in-memory Save byte for byte, the

@@ -2,7 +2,7 @@
 // server speaking the Steam Web API wire format (see steamapiserver) and
 // writes the assembled snapshot.
 //
-//	steamcrawl -url http://127.0.0.1:8080 -rate 85000 -workers 16 -out crawl.gob.gz
+//	steamcrawl -url http://127.0.0.1:8080 -rate 85000 -workers 16 -out crawl.jsonl.gz
 //
 // The -rate flag is the crawler's voluntary budget; the paper throttled
 // to 85 % of the API's allowance.
@@ -20,9 +20,9 @@
 //
 // Maintenance modes (no crawl):
 //
-//	steamcrawl -fsck crawl.gob.gz                          # validate a snapshot
-//	steamcrawl -fsck crawl.gob.gz -repair -checkpoint dir  # rebuild it from the journal
-//	steamcrawl -compact -checkpoint dir                    # bound future replay time
+//	steamcrawl -fsck crawl.jsonl.gz                          # validate a snapshot
+//	steamcrawl -fsck crawl.jsonl.gz -repair -checkpoint dir  # rebuild it from the journal
+//	steamcrawl -compact -checkpoint dir                      # bound future replay time
 package main
 
 import (
@@ -46,7 +46,7 @@ import (
 
 func main() {
 	app := climain.New("steamcrawl")
-	workers := app.WorkersFlag(16, "worker pool width for crawl phases 2-5 and the snapshot codec (results are identical for any value)")
+	workers := app.WorkersFlag(16, "worker pool width for crawl phases 2-5 (results are identical for any value)")
 	var (
 		baseURL     = flag.String("url", "http://127.0.0.1:8080", "API base URL")
 		key         = flag.String("key", "", "API key")
@@ -59,7 +59,7 @@ func main() {
 		brCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe")
 		noAdaptive  = flag.Bool("no-adaptive", false, "disable AIMD adaptive throttling and pin the rate")
 		progress    = flag.Duration("progress", 30*time.Second, "interval between progress/health lines (negative disables)")
-		out         = flag.String("out", "crawl.gob.gz", "snapshot output path")
+		out         = flag.String("out", "crawl.jsonl.gz", "snapshot output path (.jsonl/.jsonl.gz, or a .d shard directory)")
 		fsckPath    = flag.String("fsck", "", "validate this snapshot file against its manifest and the paper's referential schema, then exit (no crawl)")
 		repair      = flag.Bool("repair", false, "with -fsck and -checkpoint: rebuild a damaged snapshot from the journal, then re-validate")
 		compact     = flag.Bool("compact", false, "seal the -checkpoint journal's replayed segments into a verified base snapshot and exit (no crawl)")
@@ -94,10 +94,10 @@ func main() {
 		if *fleetDir == "" {
 			log.Fatal("-merge requires -fleet-dir")
 		}
-		os.Exit(runMerge(*fleetDir, *out, *collectedAt, *workers, reg))
+		os.Exit(runMerge(*fleetDir, *out, *collectedAt, reg))
 	}
 	if *fsckPath != "" || *compact {
-		os.Exit(runMaintenance(*fsckPath, *repair, *compact, *checkpoint, *workers, reg))
+		os.Exit(runMaintenance(*fsckPath, *repair, *compact, *checkpoint, reg))
 	}
 
 	logf := func(format string, args ...any) {
@@ -168,7 +168,7 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 	}
-	if err := snap.Save(*out, dataset.WithWorkers(*workers)); err != nil {
+	if err := snap.Save(*out); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "snapshot written to %s (manifest: %s)\n", *out, dataset.ManifestPath(*out))
@@ -259,19 +259,19 @@ func runFleetStatus(dir string) int {
 
 // runMerge stitches a completed fleet's shard journals into one
 // manifest-verified snapshot and proves it fsck-clean.
-func runMerge(dir, out string, collectedAt int64, workers int, reg *obs.Registry) int {
+func runMerge(dir, out string, collectedAt int64, reg *obs.Registry) int {
 	snap, err := fleet.Merge(dir, collectedAt)
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	if err := snap.Save(out, dataset.WithWorkers(workers)); err != nil {
+	if err := snap.Save(out); err != nil {
 		log.Print(err)
 		return 1
 	}
 	im := &dataset.IntegrityMetrics{}
 	im.Register(reg)
-	rep, err := dataset.FsckFile(out, im, dataset.WithWorkers(workers))
+	rep, err := dataset.FsckFile(out, im)
 	if err != nil {
 		log.Print(err)
 		return 1
@@ -295,7 +295,7 @@ func runMerge(dir, out string, collectedAt int64, workers int, reg *obs.Registry
 // optionally repairing it from the journal) and -compact (seal the
 // journal's replayed prefix into a base snapshot). Returns the exit code:
 // zero only if every requested operation left a clean state.
-func runMaintenance(fsckPath string, repair, compact bool, checkpoint string, workers int, reg *obs.Registry) int {
+func runMaintenance(fsckPath string, repair, compact bool, checkpoint string, reg *obs.Registry) int {
 	im := &dataset.IntegrityMetrics{}
 	im.Register(reg)
 	code := 0
@@ -306,8 +306,7 @@ func runMaintenance(fsckPath string, repair, compact bool, checkpoint string, wo
 		progress := func(section string, records int) {
 			reg.Gauge("fsck_loaded_" + section).Set(float64(records))
 		}
-		rep, err := dataset.FsckFile(fsckPath, im,
-			dataset.WithWorkers(workers), dataset.WithProgress(progress))
+		rep, err := dataset.FsckFile(fsckPath, im, dataset.WithProgress(progress))
 		if err != nil {
 			log.Fatal(err)
 		}

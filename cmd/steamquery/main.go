@@ -4,7 +4,7 @@
 // percentile, genre, top-K and per-user lookups, behind a collapsing
 // result cache keyed by the snapshot's manifest checksum.
 //
-//	steamquery -snapshot steam.gob.gz -addr 127.0.0.1:8090
+//	steamquery -snapshot steam.jsonl.gz -addr 127.0.0.1:8090
 //	curl http://127.0.0.1:8090/v1/snapshot
 //
 // Publishing a new snapshot is: write it over the -snapshot path
@@ -31,9 +31,9 @@ import (
 
 func main() {
 	app := climain.New("steamquery")
-	workers := app.WorkersFlag(0, "worker pool size for snapshot decode and analysis (0 = one per CPU, 1 = serial); responses are identical for any value")
+	workers := app.WorkersFlag(0, "worker pool size for analysis (0 = one per CPU, 1 = serial); responses are identical for any value")
 	var (
-		snapshot    = flag.String("snapshot", "", "snapshot file to serve (.gob/.gob.gz/.jsonl/.jsonl.gz)")
+		snapshot    = flag.String("snapshot", "", "snapshot to serve (.jsonl/.jsonl.gz, or a .d shard directory)")
 		addr        = flag.String("addr", "127.0.0.1:8090", "listen address for the /v1 API")
 		cacheN      = flag.Int("cache", 0, "result cache capacity in entries (0 = default, negative = unbounded)")
 		lazy        = flag.Bool("lazy", false, "start serving (503s) before the first snapshot load finishes instead of load-or-die")

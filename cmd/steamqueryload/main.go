@@ -8,7 +8,7 @@
 // snapshot file, which is still read locally to seed user lookups) to
 // load-test across processes.
 //
-//	steamqueryload -snapshot steam.gob.gz -requests 1000000 -out BENCH_query.json
+//	steamqueryload -snapshot steam.jsonl.gz -requests 1000000 -out BENCH_query.json
 //
 // The mix is deterministic for a given -seed: a few hundred distinct
 // URLs spanning every /v1 endpoint, weighted so that hot resources

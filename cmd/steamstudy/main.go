@@ -5,7 +5,7 @@
 //
 //	steamstudy -users 200000 -seed 1              # full study, text output
 //	steamstudy -experiment T3                     # one table
-//	steamstudy -snapshot crawl.gob.gz -experiment all
+//	steamstudy -snapshot crawl.jsonl.gz -experiment all
 //	steamstudy -list                              # experiment index
 package main
 
@@ -25,7 +25,7 @@ import (
 
 func main() {
 	app := climain.New("steamstudy")
-	workers := app.WorkersFlag(0, "worker pool size for generation, snapshot codec, fsck and analysis (0 = one per CPU, 1 = serial); output is identical for any value")
+	workers := app.WorkersFlag(0, "worker pool size for generation and analysis (0 = one per CPU, 1 = serial); output is identical for any value")
 	var (
 		users      = flag.Int("users", 200000, "population size when generating")
 		seed       = flag.Int64("seed", 1, "generation seed")
@@ -50,7 +50,7 @@ func main() {
 			log.Fatal("-fsck requires -snapshot to name the file to validate")
 		}
 		im := &dataset.IntegrityMetrics{}
-		rep, err := dataset.FsckFile(*snapshot, im, dataset.WithWorkers(*workers))
+		rep, err := dataset.FsckFile(*snapshot, im)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func main() {
 	)
 	start := time.Now()
 	if *snapshot != "" {
-		study, err = steamstudy.LoadSnapshot(*snapshot, dataset.WithWorkers(*workers))
+		study, err = steamstudy.LoadSnapshot(*snapshot)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -134,16 +134,17 @@ func Crawl(opts CrawlOptions) (*dataset.Snapshot, error) {
 	return c.Run(ctx)
 }
 
-// SaveSnapshot persists a study's snapshot (format by extension: .gob,
-// .gob.gz, .jsonl, .jsonl.gz). Options tune the codec (for example
-// dataset.WithWorkers); the bytes written are identical for any of them.
+// SaveSnapshot persists a study's snapshot (layout by path: .jsonl,
+// .jsonl.gz, or a .d shard directory). Options tune the layout and
+// observability (dataset.WithShardRecords, dataset.WithProgress); the
+// bytes of a single-file snapshot are identical for any of them.
 func (s *Study) SaveSnapshot(path string, opts ...dataset.Option) error {
 	return s.snap.Save(path, opts...)
 }
 
 // LoadSnapshot reads a snapshot saved by SaveSnapshot or the crawler
-// tools and wraps it in a Study. Options tune the codec (for example
-// dataset.WithWorkers, dataset.WithProgress).
+// tools and wraps it in a Study. Options observe the decode (for example
+// dataset.WithProgress).
 func LoadSnapshot(path string, opts ...dataset.Option) (*Study, error) {
 	snap, err := dataset.Load(path, opts...)
 	if err != nil {

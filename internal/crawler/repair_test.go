@@ -78,7 +78,7 @@ func TestRepairSnapshotRestoresClean(t *testing.T) {
 	tmp := t.TempDir()
 	jdir := filepath.Join(tmp, "j")
 	journalPair(t, jdir)
-	path := filepath.Join(tmp, "snap.gob.gz")
+	path := filepath.Join(tmp, "snap.jsonl.gz")
 	snap, err := RebuildFromJournal(jdir)
 	if err != nil {
 		t.Fatal(err)

@@ -1,28 +1,27 @@
 package dataset
 
 import (
-	"bufio"
-	"bytes"
-	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"steamstudy/internal/simworld"
 )
 
-// The datapath benchmarks measure the parallel data plane end to end at
-// paper-adjacent scale: a 500k-user universe generated, encoded, decoded
-// and fsck'd at workers=1 (the serial baseline) and workers=max (one
-// worker per GOMAXPROCS). `make bench` records them in
-// BENCH_datapath.json; on a single-CPU host the two variants necessarily
-// coincide — the honest gomaxprocs field in that file says which case
-// was measured.
+// The datapath benchmarks measure the data plane end to end at
+// paper-adjacent scale: a 500k-user universe generated (at workers=1, the
+// serial baseline, and workers=max, one worker per GOMAXPROCS), then
+// saved, loaded and fsck'd through the one snapshot path — Save and Load
+// through a temp .jsonl file, Snapshot.Fsck over the slices. `make bench`
+// records them in BENCH_datapath.json; on a single-CPU host the two
+// generate variants necessarily coincide — the honest gomaxprocs field in
+// that file says which case was measured.
 const benchUsers = 500_000
 
 var (
 	datapathOnce sync.Once
 	datapathSnap *Snapshot
-	datapathRaw  []byte
 )
 
 func datapathSnapshot(b *testing.B) *Snapshot {
@@ -35,74 +34,69 @@ func datapathSnapshot(b *testing.B) *Snapshot {
 	return datapathSnap
 }
 
-func datapathJSONL(b *testing.B) []byte {
+// datapathFile saves the bench snapshot to a temp .jsonl file and returns
+// its path and size.
+func datapathFile(b *testing.B) (string, int64) {
 	b.Helper()
-	s := datapathSnapshot(b)
-	if datapathRaw == nil {
-		var buf bytes.Buffer
-		if err := s.writeJSONL(&buf, 0, nil); err != nil {
-			b.Fatal(err)
-		}
-		datapathRaw = buf.Bytes()
+	path := filepath.Join(b.TempDir(), "bench.jsonl")
+	if err := datapathSnapshot(b).Save(path); err != nil {
+		b.Fatal(err)
 	}
-	return datapathRaw
-}
-
-func workerVariants(b *testing.B, run func(b *testing.B, workers int)) {
-	b.Run("workers=1", func(b *testing.B) { run(b, 1) })
-	b.Run("workers=max", func(b *testing.B) { run(b, 0) })
+	info, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return path, info.Size()
 }
 
 func BenchmarkDatapathGenerate500k(b *testing.B) {
-	workerVariants(b, func(b *testing.B, workers int) {
-		cfg := simworld.DefaultConfig(benchUsers)
-		cfg.Workers = workers
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			simworld.MustGenerate(cfg, 1)
-		}
-	})
+	for _, v := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", 0}} {
+		b.Run(v.name, func(b *testing.B) {
+			cfg := simworld.DefaultConfig(benchUsers)
+			cfg.Workers = v.workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				simworld.MustGenerate(cfg, 1)
+			}
+		})
+	}
 }
 
 func BenchmarkDatapathEncode500k(b *testing.B) {
 	s := datapathSnapshot(b)
-	raw := datapathJSONL(b)
-	workerVariants(b, func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			if err := s.writeJSONL(io.Discard, workers, nil); err != nil {
-				b.Fatal(err)
-			}
+	path, size := datapathFile(b)
+	b.ReportAllocs()
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Save(path); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 func BenchmarkDatapathDecode500k(b *testing.B) {
-	raw := datapathJSONL(b)
-	workerVariants(b, func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			var s Snapshot
-			br := bufio.NewReaderSize(bytes.NewReader(raw), 1<<20)
-			if err := s.readJSONL(br, workers, nil); err != nil {
-				b.Fatal(err)
-			}
+	path, size := datapathFile(b)
+	b.ReportAllocs()
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(path); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
 
 func BenchmarkDatapathFsck500k(b *testing.B) {
 	s := datapathSnapshot(b)
-	workerVariants(b, func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r := newReport()
-			s.fsckInto(r, workers)
-			if !r.Clean() {
-				b.Fatal("bench universe is dirty")
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !s.Fsck().Clean() {
+			b.Fatal("bench universe is dirty")
 		}
-	})
+	}
 }

@@ -1,8 +1,9 @@
 // Package dataset defines the snapshot format shared by the crawler (which
 // assembles one from Steam Web API responses) and the analysis pipeline
 // (which consumes one regardless of whether it was crawled or extracted
-// straight from a synthetic universe). It also provides persistence (gob
-// and JSON-lines) and the §8 two-snapshot comparison helpers.
+// straight from a synthetic universe). It also provides persistence
+// (JSON-lines, as one file or a sharded directory, through one streaming
+// Writer and Reader) and the §8 two-snapshot comparison helpers.
 package dataset
 
 import (

@@ -104,7 +104,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s := testSnapshot(t)
 	dir := t.TempDir()
-	for _, name := range []string{"snap.gob", "snap.gob.gz", "snap.jsonl", "snap.jsonl.gz"} {
+	for _, name := range []string{"snap.jsonl", "snap.jsonl.gz", "snap.d"} {
 		path := filepath.Join(dir, name)
 		if err := s.Save(path); err != nil {
 			t.Fatalf("save %s: %v", name, err)
@@ -129,7 +129,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "nope.jsonl")); err == nil {
 		t.Fatal("missing file load succeeded")
 	}
 }

@@ -5,7 +5,9 @@
 // paper's schema (friend edges reference known accounts and are
 // symmetric, owned app IDs exist in the catalog, group memberships are
 // reciprocal with crawled groups), producing a typed report with counts
-// per violation class instead of stopping at the first problem.
+// per violation class instead of stopping at the first problem. One
+// checker, fsckScan (fsckstream.go), serves in-memory snapshots, single
+// files and sharded directories alike.
 
 package dataset
 
@@ -15,7 +17,6 @@ import (
 	"strings"
 
 	"steamstudy/internal/obs"
-	"steamstudy/internal/par"
 )
 
 // ViolationClass names one kind of integrity failure.
@@ -103,9 +104,8 @@ func (r *Report) add(class ViolationClass, format string, args ...any) {
 
 func (r *Report) addViolation(v Violation) { r.add(v.Class, "%s", v.Detail) }
 
-// merge folds a shard's sub-report into r. Shards are merged in index
-// order, so counts and the per-class sample prefixes come out exactly as
-// a serial pass would have produced them.
+// merge folds sub's violations into r after r's own, keeping the first
+// samples of each class.
 func (r *Report) merge(sub *Report) {
 	r.RecordsVerified += sub.RecordsVerified
 	for class, n := range sub.Counts {
@@ -181,248 +181,49 @@ func (m *IntegrityMetrics) Register(r *obs.Registry) {
 	r.RegisterCounters("dataset_", m)
 }
 
-// Fsck checks the in-memory snapshot's structural and referential
-// integrity against the paper's schema and returns the full report. It
-// never stops early: a damaged snapshot yields counts per violation
-// class, which is what decides between re-crawling and journal repair.
-//
-// Options: WithWorkers shards the per-user and per-group referential
-// checks; shard reports are merged in index order, so counts and sample
-// details are identical to a serial pass.
+// Fsck checks the in-memory snapshot's referential integrity against the
+// paper's schema and returns the full report. It never stops early: a
+// damaged snapshot yields counts per violation class, which is what
+// decides between re-crawling and journal repair. The checks are
+// fsckScan's, run over the snapshot's slices, so the report equals what
+// FsckFile produces for the same records on disk. Options are accepted
+// for pipeline uniformity; an in-memory scan has nothing to report
+// progress on.
 func (s *Snapshot) Fsck(opts ...Option) *Report {
-	o := buildOptions(opts)
 	r := newReport()
-	s.fsckInto(r, o.workers)
+	st, _ := fsckScan(s.sections, nil) // the in-memory source cannot fail
+	st.into(r, nil)
 	return r
 }
 
-// fsckShard is the fixed number of records per fsck shard — part of the
-// work partition, not derived from the worker count, so shard boundaries
-// are stable and the merged report is identical for any Workers value.
-const fsckShard = 2048
-
-// fsckPair is a directed friend edge, for the symmetry check.
-type fsckPair struct{ a, b uint64 }
-
-// fsckIndex is the read-only state shared by every verification shard.
-type fsckIndex struct {
-	apps     map[uint32]bool
-	userAt   map[uint64]int
-	friends  map[fsckPair]bool
-	memberOf map[uint64]map[uint64]bool
-}
-
-func (s *Snapshot) fsckInto(r *Report, workers int) {
-	r.Users, r.Games, r.Groups = len(s.Users), len(s.Games), len(s.Groups)
-
-	// Index build: sequential map construction, recording duplicate IDs
-	// as we go. The expensive part — per-record verification — is what
-	// gets sharded below.
-	ix := &fsckIndex{
-		apps:     make(map[uint32]bool, len(s.Games)),
-		userAt:   make(map[uint64]int, len(s.Users)),
-		friends:  make(map[fsckPair]bool),
-		memberOf: make(map[uint64]map[uint64]bool, len(s.Groups)),
-	}
-	for i := range s.Games {
-		id := s.Games[i].AppID
-		if ix.apps[id] {
-			r.add(ViolationDuplicateGame, "app %d appears more than once in the catalog", id)
-			continue
-		}
-		ix.apps[id] = true
-	}
-	for i := range s.Users {
-		id := s.Users[i].SteamID
-		if _, dup := ix.userAt[id]; dup {
-			r.add(ViolationDuplicateUser, "user %d appears more than once", id)
-			continue
-		}
-		ix.userAt[id] = i
-	}
-	groupAt := make(map[uint64]int, len(s.Groups))
-	for i := range s.Groups {
-		id := s.Groups[i].GID
-		if _, dup := groupAt[id]; dup {
-			r.add(ViolationDuplicateGroup, "group %d appears more than once", id)
-			continue
-		}
-		groupAt[id] = i
-	}
-	for i := range s.Users {
-		u := &s.Users[i]
-		for _, f := range u.Friends {
-			ix.friends[fsckPair{u.SteamID, f.SteamID}] = true
-		}
-	}
-	for i := range s.Groups {
-		g := &s.Groups[i]
-		set := make(map[uint64]bool, len(g.Members))
-		for _, m := range g.Members {
-			set[m] = true
-		}
-		ix.memberOf[g.GID] = set
-	}
-
-	// Referential verification, sharded over fixed index ranges. Each
-	// shard reads the shared indices (never writes) and accumulates into
-	// its own report; the merge in shard order reproduces the serial
-	// violation order per class.
-	runShards(workers, len(s.Users), r, func(lo, hi int, sub *Report) {
-		owned := make(map[uint32]int32)
-		for i := lo; i < hi; i++ {
-			s.fsckUser(ix, i, owned, sub)
-		}
-	})
-	r.RecordsVerified += int64(len(s.Games))
-	runShards(workers, len(s.Groups), r, func(lo, hi int, sub *Report) {
-		for i := lo; i < hi; i++ {
-			s.fsckGroup(ix, i, sub)
-		}
-	})
-}
-
-// runShards partitions [0, n) into fsckShard-wide ranges, verifies them
-// on the pool, and merges the shard reports into r in index order.
-func runShards(workers, n int, r *Report, verify func(lo, hi int, sub *Report)) {
-	ns := (n + fsckShard - 1) / fsckShard
-	if ns <= 1 {
-		verify(0, n, r)
-		return
-	}
-	if par.N(workers) <= 1 {
-		// Sequential fast path: one effective worker gains nothing from
-		// the fan-out plumbing (BENCH_datapath showed workers=max slower
-		// than workers=1 on a single-CPU host), so verify shard by shard
-		// straight into one sub-report. Shard boundaries and merge order
-		// match the parallel path, so the report — samples included — is
-		// identical.
-		sub := newReport()
-		for si := 0; si < ns; si++ {
-			verify(si*fsckShard, min((si+1)*fsckShard, n), sub)
-		}
-		r.merge(sub)
-		return
-	}
-	subs := make([]*Report, ns)
-	par.For(workers, ns, func(si int) {
-		sub := newReport()
-		verify(si*fsckShard, min((si+1)*fsckShard, n), sub)
-		subs[si] = sub
-	})
-	for _, sub := range subs {
-		r.merge(sub)
-	}
-}
-
-// fsckUser runs the per-user referential checks against the shared
-// index, accumulating into the shard report. owned is the shard's
-// duplicate-ownership scratch map, reused across users: an app is owned
-// by user i when its stamp is i+1, so no per-user clear or allocation.
-func (s *Snapshot) fsckUser(ix *fsckIndex, i int, owned map[uint32]int32, r *Report) {
-	u := &s.Users[i]
-	r.RecordsVerified++
-
-	// Friend edges: every reference resolves to a crawled account and
-	// is reciprocated (the paper's friendship graph is undirected).
-	for _, f := range u.Friends {
-		if f.SteamID == u.SteamID {
-			r.add(ViolationSelfFriend, "user %d lists itself as a friend", u.SteamID)
-			continue
-		}
-		if _, ok := ix.userAt[f.SteamID]; !ok {
-			r.add(ViolationFriendUnknown, "user %d lists unknown account %d as a friend", u.SteamID, f.SteamID)
-			continue
-		}
-		if !ix.friends[fsckPair{f.SteamID, u.SteamID}] {
-			r.add(ViolationFriendAsymmetric, "user %d lists %d but %d does not list %d", u.SteamID, f.SteamID, f.SteamID, u.SteamID)
-		}
-	}
-
-	// Ownership: app IDs exist in the catalog, playtimes respect the
-	// two-week <= lifetime >= 0 invariants, no app owned twice.
-	stamp := int32(i) + 1
-	for _, g := range u.Games {
-		if owned[g.AppID] == stamp {
-			r.add(ViolationDuplicateOwnership, "user %d owns app %d twice", u.SteamID, g.AppID)
-		}
-		owned[g.AppID] = stamp
-		if !ix.apps[g.AppID] {
-			r.add(ViolationOwnedAppUnknown, "user %d owns app %d which is not in the catalog", u.SteamID, g.AppID)
-		}
-		if g.TotalMinutes < 0 || g.TwoWeekMinutes < 0 {
-			r.add(ViolationPlaytimeInvariant, "user %d app %d has negative playtime", u.SteamID, g.AppID)
-		} else if int64(g.TwoWeekMinutes) > g.TotalMinutes {
-			r.add(ViolationPlaytimeInvariant, "user %d app %d two-week playtime exceeds lifetime", u.SteamID, g.AppID)
-		}
-	}
-
-	// Memberships: every group a user lists was crawled, and that
-	// group lists the user back.
-	for _, gid := range u.Groups {
-		set, ok := ix.memberOf[gid]
-		if !ok {
-			r.add(ViolationMembershipUnknown, "user %d belongs to uncrawled group %d", u.SteamID, gid)
-			continue
-		}
-		if !set[u.SteamID] {
-			r.add(ViolationMembershipAsymmetric, "user %d lists group %d but the group does not list the user", u.SteamID, gid)
-		}
-	}
-}
-
-// fsckGroup checks one group's member list: every member is a crawled
-// account that lists the group back.
-func (s *Snapshot) fsckGroup(ix *fsckIndex, i int, r *Report) {
-	g := &s.Groups[i]
-	r.RecordsVerified++
-	for _, m := range g.Members {
-		ui, ok := ix.userAt[m]
-		if !ok {
-			r.add(ViolationMemberUnknown, "group %d lists unknown account %d as a member", g.GID, m)
-			continue
-		}
-		found := false
-		for _, gid := range s.Users[ui].Groups {
-			if gid == g.GID {
-				found = true
-				break
-			}
-		}
-		if !found {
-			r.add(ViolationMembershipAsymmetric, "group %d lists user %d but the user does not list the group", g.GID, m)
-		}
-	}
-}
-
-// FsckFile runs the full integrity check on a snapshot file: manifest
-// presence and checksums (localizing damage to the section that rotted),
-// container decodability, then the referential checks of Fsck. Unlike
-// Load it accumulates every violation instead of failing fast. The error
-// is non-nil only for environmental problems (unknown extension, missing
-// file); corruption is reported in the Report. Metrics, when non-nil,
+// FsckFile runs the full integrity check on a snapshot file or sharded
+// directory: manifest presence and checksums (localizing damage to the
+// section or segment that rotted), decodability, then the referential
+// checks of Fsck. Unlike Load it accumulates every violation instead of
+// failing fast. The error is non-nil only for environmental problems
+// (unknown extension, a path naming a bare segment); corruption, missing
+// data included, is reported in the Report. Metrics, when non-nil,
 // receive the verified-record and failure counts.
 //
-// Options: WithWorkers parallelizes the JSONL decode and shards the
-// referential checks; WithProgress reports decode progress per section.
+// A sharded directory is scanned section by section through the
+// streaming Reader, never holding more than index data; a single file is
+// read once into memory with the tolerant Reader — which keeps the
+// records before a decode error — and scanned there.
+//
+// Options: WithProgress reports decoded records per section, from the
+// first read of each section only, so counts never decrease.
 func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error) {
 	o := buildOptions(opts)
-	encoding, gzipped, sharded, err := snapshotPath(path)
+	_, sharded, err := snapshotPath(path)
 	if err != nil {
 		return nil, err
 	}
 	r := newReport()
 	r.Path = path
+	maxVersion := SnapshotFormatVersion
 	if sharded {
-		// Sharded directories take the streaming passes in fsckstream.go,
-		// which never decode more than a bounded window of records.
-		if err := fsckShardDir(path, r, o); err != nil {
-			return nil, err
-		}
-		fsckRecordMetrics(r, m)
-		return r, nil
+		maxVersion = SnapshotShardFormatVersion
 	}
-
 	man, merr := ReadManifest(path)
 	switch {
 	case merr != nil:
@@ -430,35 +231,50 @@ func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error)
 	case man == nil:
 		// Pre-manifest snapshot: structural checks are limited to
 		// decodability; referential checks still run in full.
-	case man.FormatVersion > SnapshotFormatVersion:
+	case man.FormatVersion > maxVersion:
 		r.add(ViolationFormatVersion, "manifest format version %d is newer than this build supports (%d)",
-			man.FormatVersion, SnapshotFormatVersion)
+			man.FormatVersion, maxVersion)
 		man = nil
 	default:
 		r.ManifestVerified = true
-		if err := man.verifyFile(path); err != nil {
+		if sharded {
+			verifyShardBytes(path, man, r)
+		} else if err := man.verifyFile(path); err != nil {
 			r.add(ViolationFileHash, "%v", err)
 		}
 	}
 
-	s, derr := decodeSnapshotFile(path, encoding, gzipped, o)
+	var st *fsckScanState
+	var derr error
+	if sharded {
+		st, derr = fsckScan(dirSections(path, o), man)
+	} else if s, err := readPartial(path, o); err != nil {
+		st, derr = &fsckScanState{users: len(s.Users), games: len(s.Games), groups: len(s.Groups)}, err
+	} else {
+		st, derr = fsckScan(s.sections, man)
+	}
 	if derr != nil {
+		// A decode failure reports the shape seen so far and the decode
+		// violation; referential results from an aborted scan are
+		// discarded, not half-reported.
+		r.Users, r.Games, r.Groups = st.users, st.games, st.groups
 		r.add(ViolationDecode, "%v", derr)
+	} else {
+		st.into(r, man)
 	}
-	if s != nil && derr == nil {
-		if man != nil && r.ManifestVerified {
-			for _, v := range man.verifySections(s) {
-				r.addViolation(v)
-			}
-		}
-		s.fsckInto(r, o.workers)
-	} else if s != nil {
-		// Partially decoded (JSONL tail damage): still report its shape.
-		r.Users, r.Games, r.Groups = len(s.Users), len(s.Games), len(s.Groups)
-	}
-
 	fsckRecordMetrics(r, m)
 	return r, nil
+}
+
+// readPartial collects a single file with the tolerant Reader. On error
+// the snapshot holds the records read before it.
+func readPartial(path string, o options) (*Snapshot, error) {
+	r, err := openReader(path, 0, false, o)
+	if err != nil {
+		return &Snapshot{}, err
+	}
+	defer r.Close()
+	return r.collect()
 }
 
 func fsckRecordMetrics(r *Report, m *IntegrityMetrics) {

@@ -33,14 +33,14 @@ func fsckFixture() *Snapshot {
 // the process-global gob type-ID counter — the same snapshot checksummed
 // differently depending on what the process had encoded first.)
 func TestSectionChecksumsAreStable(t *testing.T) {
-	f := fsckFixture()
-	if got := sectionCRCUsers(f.Users); got != 0xd6730c03 {
+	sums := fsckFixture().sectionSums()
+	if got := sums[sectionUsers].CRC32C; got != 0xd6730c03 {
 		t.Errorf("users CRC = %08x, want d6730c03", got)
 	}
-	if got := sectionCRCGames(f.Games); got != 0x6a46096c {
+	if got := sums[sectionGames].CRC32C; got != 0x6a46096c {
 		t.Errorf("games CRC = %08x, want 6a46096c", got)
 	}
-	if got := sectionCRCGroups(f.Groups); got != 0x641af34a {
+	if got := sums[sectionGroups].CRC32C; got != 0x641af34a {
 		t.Errorf("groups CRC = %08x, want 641af34a", got)
 	}
 }
@@ -150,7 +150,7 @@ func TestFsckGeneratedUniverseClean(t *testing.T) {
 
 // End-to-end file check on a clean snapshot, with metrics wiring.
 func TestFsckFileCleanAndMetrics(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.gob.gz")
+	path := filepath.Join(t.TempDir(), "snap.jsonl.gz")
 	if err := fsckFixture().Save(path); err != nil {
 		t.Fatal(err)
 	}

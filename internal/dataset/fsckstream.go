@@ -1,10 +1,8 @@
-// Streaming fsck for sharded snapshot directories. The in-memory fsck
-// decodes the whole snapshot and then cross-references it; at paper scale
-// that decode is exactly what the sharded layout exists to avoid. This
-// file runs the same checks as bounded-memory passes over the section
-// iterators, decoding each section at most twice:
+// The fsck checker. fsckScan runs every referential check as a few
+// ordered passes over a section source — a sharded directory streamed
+// through the Reader, or a snapshot's in-memory slices — decoding each
+// section of a directory at most twice:
 //
-//	raw bytes    per-segment CRC-32C + byte counts, concatenated SHA-256
 //	games        catalog set, duplicate detection, canonical CRC
 //	groups #1    member-set index (sorted copies), duplicates, CRC
 //	users        SteamID census, canonical CRC, ownership/playtime/
@@ -15,6 +13,8 @@
 //	             friend-unknown / friend-asymmetric in record order
 //	groups #2    member-unknown / membership-asymmetric (group side)
 //
+// A directory's raw bytes (per-segment CRC-32C and byte counts, the
+// concatenated SHA-256) are checked before the scan by verifyShardBytes.
 // What stays resident is index data, not decoded records:
 //
 //	users        census IDs 8 B, sorted view 12 B (none when the stream is
@@ -29,15 +29,14 @@
 // users (180 MB for an unsorted stream) and 300 MB for friend edges,
 // before slice-growth slack: well inside the 2 GiB stage gate.
 //
-// The report is identical to what Fsck produces on the decoded snapshot:
-// every violation class is emitted by one step in record order (the
+// Every violation class is emitted by one step in record order (the
 // user-side membership-asymmetric emissions all precede the group-side
-// ones, as in memory), and Report keys samples per class, so per-class
-// counts and sample prefixes match the in-memory pass (the property tests
-// assert this). The one representational difference: user and group
-// references are resolved through first-occurrence indexes over the ID
-// census, exactly mirroring the in-memory index maps (userAt first-wins,
-// memberOf last-wins, friend edges keyed by ID pairs).
+// ones), and Report keys samples per class, so per-class counts and
+// sample prefixes equal those of a straightforward map-based checker —
+// the property tests hold the scan to one. References resolve through
+// first-occurrence indexes over the ID census, mirroring such a checker's
+// maps (user index first-wins, group member sets last-wins, friend edges
+// keyed by ID pairs).
 
 package dataset
 
@@ -52,45 +51,6 @@ import (
 	"slices"
 	"sort"
 )
-
-// fsckShardDir runs FsckFile's checks over a sharded directory. The error
-// is environmental (unreadable directory); corruption lands in r.
-func fsckShardDir(path string, r *Report, o options) error {
-	man, merr := ReadManifest(path)
-	switch {
-	case merr != nil:
-		r.add(ViolationManifest, "%v", merr)
-		man = nil
-	case man == nil:
-		// No sidecar: structural checks are limited to decodability.
-	case man.FormatVersion > SnapshotShardFormatVersion:
-		r.add(ViolationFormatVersion, "manifest format version %d is newer than this build supports (%d)",
-			man.FormatVersion, SnapshotShardFormatVersion)
-		man = nil
-	default:
-		r.ManifestVerified = true
-		verifyShardBytes(path, man, r)
-	}
-
-	st, derr := fsckScan(path, man, o)
-	if st != nil {
-		r.Users, r.Games, r.Groups = st.users, st.games, st.groups
-	}
-	if derr != nil {
-		// Mirror the in-memory path: a decode failure reports the shape
-		// seen so far and the decode violation; referential results from
-		// the aborted scan are discarded, not half-reported.
-		r.add(ViolationDecode, "%v", derr)
-		return nil
-	}
-	if man != nil && r.ManifestVerified {
-		for _, v := range st.verifySections(man) {
-			r.addViolation(v)
-		}
-	}
-	r.merge(st.sub)
-	return nil
-}
 
 // verifyShardBytes is verifyFile for the sharded layout: every segment's
 // raw bytes are checked against the manifest's per-shard byte count and
@@ -131,42 +91,83 @@ func verifyShardBytes(dir string, man *Manifest, r *Report) {
 	}
 }
 
-// fsckScanState accumulates the streaming referential scan.
+// fsckScanState accumulates the referential scan.
 type fsckScanState struct {
 	users, games, groups int
 	collectedAt          int64
-	crc                  map[string]uint32 // canonical section CRCs
-	sub                  *Report           // referential violations + RecordsVerified
+	sums                 map[string]SectionSum // canonical section sums, when a manifest wants them
+	sub                  *Report               // referential violations + RecordsVerified
 }
 
-// verifySections mirrors Manifest.verifySections against the streamed
-// counts and checksums, with identical detail strings.
-func (st *fsckScanState) verifySections(m *Manifest) []Violation {
-	var out []Violation
-	check := func(name string, records int, crc uint32) {
-		want, ok := m.Sections[name]
-		if !ok {
-			out = append(out, Violation{Class: ViolationSectionCount,
-				Detail: fmt.Sprintf("%s section missing from manifest", name)})
-			return
-		}
-		if want.Records != records {
-			out = append(out, Violation{Class: ViolationSectionCount,
-				Detail: fmt.Sprintf("%s section has %d records, manifest records %d", name, records, want.Records)})
-		}
-		if want.CRC32C != crc {
-			out = append(out, Violation{Class: ViolationSectionChecksum,
-				Detail: fmt.Sprintf("%s section checksum mismatch (file %08x, manifest %08x)", name, crc, want.CRC32C)})
+// into completes r from a finished scan: section shape, the section
+// checks against man (when non-nil), then the referential violations.
+func (st *fsckScanState) into(r *Report, man *Manifest) {
+	r.Users, r.Games, r.Groups = st.users, st.games, st.groups
+	if man != nil {
+		for _, v := range man.verifySections(st.collectedAt, st.sums) {
+			r.addViolation(v)
 		}
 	}
-	check(sectionUsers, st.users, st.crc[sectionUsers])
-	check(sectionGames, st.games, st.crc[sectionGames])
-	check(sectionGroups, st.groups, st.crc[sectionGroups])
-	if st.collectedAt != m.CollectedAt {
-		out = append(out, Violation{Class: ViolationHeader,
-			Detail: fmt.Sprintf("header CollectedAt %d, manifest records %d", st.collectedAt, m.CollectedAt)})
+	r.merge(st.sub)
+}
+
+// sectionSource streams one section's records, in record order, to fn
+// and returns the header's CollectedAt. fsckScan reads games once and
+// users once, but groups twice.
+type sectionSource func(section string, fn func(*Record)) (collectedAt int64, err error)
+
+// sections is the in-memory section source.
+func (s *Snapshot) sections(section string, fn func(*Record)) (int64, error) {
+	var rec Record
+	switch section {
+	case sectionGames:
+		rec.Kind = KindGame
+		for i := range s.Games {
+			rec.Game = s.Games[i]
+			fn(&rec)
+		}
+	case sectionUsers:
+		rec.Kind = KindUser
+		for i := range s.Users {
+			rec.User = s.Users[i]
+			fn(&rec)
+		}
+	case sectionGroups:
+		rec.Kind = KindGroup
+		for i := range s.Groups {
+			rec.Group = s.Groups[i]
+			fn(&rec)
+		}
 	}
-	return out
+	return s.CollectedAt, nil
+}
+
+// dirSections is the section source over a sharded directory. Segment
+// verification is off (verifyShardBytes already judged the bytes), and
+// progress is reported from the first read of each section only, so its
+// counts never decrease.
+func dirSections(path string, o options) sectionSource {
+	read := map[string]bool{}
+	return func(section string, fn func(*Record)) (int64, error) {
+		var ro options
+		if !read[section] {
+			read[section] = true
+			ro.progress = o.progress
+		}
+		r, err := openReader(path, sectionFilter(section), false, ro)
+		if err != nil {
+			return 0, err
+		}
+		defer r.Close()
+		var rec Record
+		for {
+			ok, err := r.Next(&rec)
+			if err != nil || !ok {
+				return r.CollectedAt(), err
+			}
+			fn(&rec)
+		}
+	}
 }
 
 // idCensus is the streaming stand-in for the in-memory userAt map: every
@@ -249,47 +250,29 @@ func (x edgeIndex) has(from, to int32) bool {
 // resolved entries hold a census position, which is always below 2^31.
 const unresolved = ^uint64(0)
 
-// streamSection iterates one section of the snapshot with segment
-// verification off (the raw pass already judged the bytes), returning the
-// header timestamp.
-func streamSection(path, section string, fn func(rec *Record)) (int64, error) {
-	r, err := openSectionRaw(path, section)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	var rec Record
-	for {
-		ok, err := r.Next(&rec)
-		if err != nil {
-			return r.CollectedAt(), err
-		}
-		if !ok {
-			return r.CollectedAt(), nil
-		}
-		fn(&rec)
-	}
-}
-
-// fsckScan runs the referential passes. A decode error aborts the scan,
-// returning the per-section counts seen so far; options are accepted for
-// pipeline uniformity (the passes are sequential — each one is a single
-// ordered stream whose indexes the next pass depends on).
-func fsckScan(path string, man *Manifest, _ options) (*fsckScanState, error) {
-	st := &fsckScanState{crc: map[string]uint32{}, sub: newReport()}
+// fsckScan runs the referential passes over src. A decode error aborts
+// the scan, returning the per-section counts seen so far. The canonical
+// section checksums are computed only when man is non-nil, which also
+// sizes the indexes. The passes are sequential: each is a single ordered
+// stream whose indexes the next pass depends on.
+func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
+	st := &fsckScanState{sums: map[string]SectionSum{}, sub: newReport()}
 	est := func(section string) int {
 		if man == nil {
 			return 0
 		}
 		return man.Sections[section].Records
 	}
+	sum := man != nil
 
 	// Games: catalog census, duplicates, canonical checksum.
 	apps := make(map[uint32]bool, est(sectionGames))
-	c := canon{h: crc32.New(castagnoli)}
-	collectedAt, err := streamSection(path, sectionGames, func(rec *Record) {
+	c := newCanon()
+	collectedAt, err := src(sectionGames, func(rec *Record) {
 		g := &rec.Game
-		c.game(g)
+		if sum {
+			c.game(g)
+		}
 		st.games++
 		if apps[g.AppID] {
 			st.sub.add(ViolationDuplicateGame, "app %d appears more than once in the catalog", g.AppID)
@@ -301,7 +284,7 @@ func fsckScan(path string, man *Manifest, _ options) (*fsckScanState, error) {
 	if err != nil {
 		return st, err
 	}
-	st.crc[sectionGames] = c.h.Sum32()
+	st.sums[sectionGames] = SectionSum{Records: st.games, CRC32C: c.h.Sum32()}
 	st.sub.RecordsVerified += int64(st.games)
 
 	// Groups, pass 1: the memberOf index. gidIndex is last-wins like the
@@ -311,10 +294,12 @@ func fsckScan(path string, man *Manifest, _ options) (*fsckScanState, error) {
 	gidIndex := make(map[uint64]int32, est(sectionGroups))
 	var members [][]uint64
 	groupSeen := make(map[uint64]bool, est(sectionGroups))
-	c = canon{h: crc32.New(castagnoli)}
-	_, err = streamSection(path, sectionGroups, func(rec *Record) {
+	c = newCanon()
+	_, err = src(sectionGroups, func(rec *Record) {
 		g := &rec.Group
-		c.group(g)
+		if sum {
+			c.group(g)
+		}
 		sorted := slices.Clone(g.Members)
 		slices.Sort(sorted)
 		members = append(members, sorted)
@@ -328,7 +313,7 @@ func fsckScan(path string, man *Manifest, _ options) (*fsckScanState, error) {
 	if err != nil {
 		return st, err
 	}
-	st.crc[sectionGroups] = c.h.Sum32()
+	st.sums[sectionGroups] = SectionSum{Records: st.groups, CRC32C: c.h.Sum32()}
 
 	// Users, one pass: the SteamID census and canonical checksum, every
 	// per-user check that needs no census (ownership, playtime,
@@ -343,11 +328,13 @@ func fsckScan(path string, man *Manifest, _ options) (*fsckScanState, error) {
 		pairs   []uint64 // packPair(stream position, group index)
 	)
 	owned := make(map[uint32]int32)
-	c = canon{h: crc32.New(castagnoli)}
-	_, err = streamSection(path, sectionUsers, func(rec *Record) {
+	c = newCanon()
+	_, err = src(sectionUsers, func(rec *Record) {
 		u := &rec.User
 		i := int32(st.users)
-		c.user(u)
+		if sum {
+			c.user(u)
+		}
 		census.ids = append(census.ids, u.SteamID)
 		st.users++
 		st.sub.RecordsVerified++
@@ -385,7 +372,7 @@ func fsckScan(path string, man *Manifest, _ options) (*fsckScanState, error) {
 	if err != nil {
 		return st, err
 	}
-	st.crc[sectionUsers] = c.h.Sum32()
+	st.sums[sectionUsers] = SectionSum{Records: st.users, CRC32C: c.h.Sum32()}
 
 	// Census: duplicate IDs, and each record's canonical position (its
 	// ID's first occurrence), which stands in for the ID in every index —
@@ -453,7 +440,7 @@ func fsckScan(path string, man *Manifest, _ options) (*fsckScanState, error) {
 	// resolves the group's GID through gidIndex so duplicate GIDs match a
 	// user listing that GID value, exactly as the in-memory check
 	// compares GID values.
-	_, err = streamSection(path, sectionGroups, func(rec *Record) {
+	_, err = src(sectionGroups, func(rec *Record) {
 		g := &rec.Group
 		st.sub.RecordsVerified++
 		gi := gidIndex[g.GID]

@@ -26,27 +26,45 @@ func saveBoth(t *testing.T, s *Snapshot) (single, sharded string) {
 	return single, sharded
 }
 
-// compareReports asserts the streaming sharded fsck produced the same
-// report as the in-memory single-file fsck: shape, verification counts,
-// and every violation class with its sample prefix.
-func compareReports(t *testing.T, single, sharded *Report) {
+// compareReports asserts got carries want's section shape, verification
+// count, and every violation class with its sample prefix.
+func compareReports(t *testing.T, label string, want, got *Report) {
 	t.Helper()
-	if single.Users != sharded.Users || single.Games != sharded.Games || single.Groups != sharded.Groups {
-		t.Fatalf("shape: single %d/%d/%d, sharded %d/%d/%d",
-			single.Users, single.Games, single.Groups, sharded.Users, sharded.Games, sharded.Groups)
+	if want.Users != got.Users || want.Games != got.Games || want.Groups != got.Groups {
+		t.Fatalf("%s: shape %d/%d/%d, want %d/%d/%d", label,
+			got.Users, got.Games, got.Groups, want.Users, want.Games, want.Groups)
 	}
-	if single.ManifestVerified != sharded.ManifestVerified {
-		t.Fatalf("ManifestVerified: single %v, sharded %v", single.ManifestVerified, sharded.ManifestVerified)
+	if want.RecordsVerified != got.RecordsVerified {
+		t.Fatalf("%s: RecordsVerified %d, want %d", label, got.RecordsVerified, want.RecordsVerified)
 	}
-	if single.RecordsVerified != sharded.RecordsVerified {
-		t.Fatalf("RecordsVerified: single %d, sharded %d", single.RecordsVerified, sharded.RecordsVerified)
+	if !reflect.DeepEqual(want.Counts, got.Counts) {
+		t.Fatalf("%s: Counts diverge:\ngot  %v\nwant %v", label, got.Counts, want.Counts)
 	}
-	if !reflect.DeepEqual(single.Counts, sharded.Counts) {
-		t.Fatalf("Counts diverge:\nsingle  %v\nsharded %v", single.Counts, sharded.Counts)
+	if !reflect.DeepEqual(want.Samples, got.Samples) {
+		t.Fatalf("%s: Samples diverge:\ngot  %v\nwant %v", label, got.Samples, want.Samples)
 	}
-	if !reflect.DeepEqual(single.Samples, sharded.Samples) {
-		t.Fatalf("Samples diverge:\nsingle  %v\nsharded %v", single.Samples, sharded.Samples)
+}
+
+// checkAgainstOracle runs fsck on s from every source — Snapshot.Fsck
+// over the slices, FsckFile on a single file and on a shard directory —
+// and asserts each report equals the map-based oracle's. It returns the
+// oracle's report.
+func checkAgainstOracle(t *testing.T, s *Snapshot) *Report {
+	t.Helper()
+	want := oracleFsck(s)
+	compareReports(t, "in-memory", want, s.Fsck())
+	single, sharded := saveBoth(t, s)
+	for _, path := range []string{single, sharded} {
+		got, err := FsckFile(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.ManifestVerified {
+			t.Fatalf("%s: manifest not verified", path)
+		}
+		compareReports(t, filepath.Base(path), want, got)
 	}
+	return want
 }
 
 // firstOwner returns the index of the first user owning at least one
@@ -60,29 +78,18 @@ func firstOwner(s *Snapshot) int {
 	panic("no user owns a game")
 }
 
-// The streaming fsck must produce the same report as the in-memory pass
-// on a clean generated universe — large enough that sections span many
+// Every fsck source must produce the oracle's report on a clean generated
+// universe — large enough that sections span many
 // segments and the ID census, edge index and membership index all get
 // real traffic.
 func TestFsckShardedMatchesInMemoryClean(t *testing.T) {
-	s := testSnapshot(t)
-	single, sharded := saveBoth(t, s)
-	rs, err := FsckFile(single, nil)
-	if err != nil {
-		t.Fatal(err)
+	if rep := checkAgainstOracle(t, testSnapshot(t)); !rep.Clean() {
+		t.Fatalf("expected a clean report:\n%s", rep)
 	}
-	rd, err := FsckFile(sharded, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rs.Clean() || !rd.Clean() {
-		t.Fatalf("expected clean reports:\nsingle: %s\nsharded: %s", rs, rd)
-	}
-	compareReports(t, rs, rd)
 }
 
-// Every referential violation class must be detected by the streaming
-// pass with the same counts and sample strings as the in-memory pass.
+// Every referential violation class must be detected from every source
+// with the same counts and sample strings as the oracle.
 // The mutations are stacked into one thoroughly dirty snapshot so the
 // cross-pass bookkeeping (duplicate IDs colliding with asymmetry checks,
 // unknown references interleaved with valid ones) is exercised together,
@@ -163,29 +170,27 @@ func TestFsckShardedMatchesInMemoryDirty(t *testing.T) {
 			a, b := s.Games[0].AppID, s.Games[1].AppID
 			s.Users[11].Games = []OwnershipRecord{{AppID: a}, {AppID: b}, {AppID: b}}
 		}, ""},
+		{"friend-unknown-spanning-segments", func(s *Snapshot) {
+			// Ten unknown friends straddling the users-0001/users-0002
+			// segment boundary: the retained samples are the first three
+			// in record order, whichever segment they came from.
+			for i := 2*64 - 5; i < 2*64+5; i++ {
+				s.Users[i].Friends = append(s.Users[i].Friends, FriendRecord{SteamID: uint64(1_000_000 + i)})
+			}
+		}, ViolationFriendUnknown},
 	}
 
 	for _, tc := range mutations {
 		t.Run(tc.name, func(t *testing.T) {
 			s := testSnapshot(t)
 			tc.mutate(s)
-			single, sharded := saveBoth(t, s)
-			rs, err := FsckFile(single, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rd, err := FsckFile(sharded, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.Clean() {
+			rep := checkAgainstOracle(t, s)
+			if rep.Clean() {
 				t.Fatalf("mutation %s produced a clean report", tc.name)
 			}
-			if tc.class != "" && rs.Counts[tc.class] <= maxSamplesPerClass {
-				t.Fatalf("%s reported %d times, want more than %d", tc.class, rs.Counts[tc.class], maxSamplesPerClass)
+			if tc.class != "" && rep.Counts[tc.class] <= maxSamplesPerClass {
+				t.Fatalf("%s reported %d times, want more than %d", tc.class, rep.Counts[tc.class], maxSamplesPerClass)
 			}
-			compareReports(t, rs, rd)
-			compareInMemory(t, s, rs)
 		})
 	}
 
@@ -194,33 +199,73 @@ func TestFsckShardedMatchesInMemoryDirty(t *testing.T) {
 		for _, tc := range mutations {
 			tc.mutate(s)
 		}
-		single, sharded := saveBoth(t, s)
-		rs, err := FsckFile(single, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd, err := FsckFile(sharded, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareReports(t, rs, rd)
-		compareInMemory(t, s, rs)
+		checkAgainstOracle(t, s)
 	})
 }
 
-// compareInMemory asserts Snapshot.Fsck on the decoded snapshot reports
-// the same violations as FsckFile did on its single-file form.
-func compareInMemory(t *testing.T, s *Snapshot, file *Report) {
-	t.Helper()
-	mem := s.Fsck()
-	if mem.RecordsVerified != file.RecordsVerified {
-		t.Fatalf("RecordsVerified: in-memory %d, file %d", mem.RecordsVerified, file.RecordsVerified)
+// fixtureBlock is the stride at which everyClassFixture scatters its
+// violations, so they land in different segments and decode chunks.
+const fixtureBlock = 2048
+
+// everyClassFixture builds a snapshot several fixtureBlocks of users
+// long, seeded with at least one violation of every referential class,
+// spread across blocks.
+func everyClassFixture() *Snapshot {
+	const n = 3*fixtureBlock + 500
+	s := &Snapshot{CollectedAt: 77}
+	s.Games = []GameRecord{{AppID: 10, Name: "Alpha", Type: "game"}}
+	for i := 0; i < n; i++ {
+		id := uint64(i + 1)
+		u := UserRecord{SteamID: id, Country: "DE",
+			Games:  []OwnershipRecord{{AppID: 10, TotalMinutes: 100, TwoWeekMinutes: 10}},
+			Groups: []uint64{7}}
+		prev, next := id-1, id+1
+		if i > 0 {
+			u.Friends = append(u.Friends, FriendRecord{SteamID: prev, Since: 5})
+		}
+		if i < n-1 {
+			u.Friends = append(u.Friends, FriendRecord{SteamID: next, Since: 5})
+		}
+		s.Users = append(s.Users, u)
 	}
-	if !reflect.DeepEqual(mem.Counts, file.Counts) {
-		t.Fatalf("Counts diverge:\nin-memory %v\nfile      %v", mem.Counts, file.Counts)
+	members := make([]uint64, n)
+	for i := range members {
+		members[i] = uint64(i + 1)
 	}
-	if !reflect.DeepEqual(mem.Samples, file.Samples) {
-		t.Fatalf("Samples diverge:\nin-memory %v\nfile      %v", mem.Samples, file.Samples)
+	s.Groups = []GroupRecord{{GID: 7, Name: "grp", Type: "Open", Members: members}}
+
+	// One violation of each referential class, scattered across blocks.
+	at := func(block, off int) *UserRecord { return &s.Users[block*fixtureBlock+off] }
+	at(0, 10).Friends = append(at(0, 10).Friends, FriendRecord{SteamID: 999_999})           // friend-unknown
+	at(1, 20).Friends = append(at(1, 20).Friends, FriendRecord{SteamID: at(1, 20).SteamID}) // self-friend
+	at(2, 30).Friends = append(at(2, 30).Friends, FriendRecord{SteamID: 3})                 // asymmetric (3 doesn't list them)
+	at(0, 40).Games = append(at(0, 40).Games, OwnershipRecord{AppID: 404})                  // owned-app-unknown
+	at(1, 50).Games = append(at(1, 50).Games, s.Users[fixtureBlock+50].Games[0])            // duplicate-ownership
+	at(2, 60).Games[0].TwoWeekMinutes = 500                                                 // playtime-invariant
+	at(3, 70).Groups = append(at(3, 70).Groups, 404)                                        // membership-group-unknown
+	at(3, 80).Groups = nil                                                                  // membership-asymmetric (group lists them)
+	s.Groups[0].Members = append(s.Groups[0].Members, 888_888)                              // member-unknown
+	s.Users = append(s.Users, UserRecord{SteamID: 1})                                       // duplicate-user
+	s.Games = append(s.Games, s.Games[0])                                                   // duplicate-game
+	s.Groups = append(s.Groups, GroupRecord{GID: 7})                                        // duplicate-group
+	return s
+}
+
+// The sharded streaming fsck — and the single-file and in-memory scans —
+// match the sequential map-based oracle on one snapshot that carries
+// every referential class at once.
+func TestFsckShardedMatchesSequential(t *testing.T) {
+	s := everyClassFixture()
+	rep := checkAgainstOracle(t, s)
+	for _, class := range []ViolationClass{
+		ViolationDuplicateUser, ViolationDuplicateGame, ViolationDuplicateGroup,
+		ViolationDuplicateOwnership, ViolationPlaytimeInvariant, ViolationFriendUnknown,
+		ViolationFriendAsymmetric, ViolationSelfFriend, ViolationOwnedAppUnknown,
+		ViolationMembershipUnknown, ViolationMemberUnknown, ViolationMembershipAsymmetric,
+	} {
+		if rep.Counts[class] == 0 {
+			t.Fatalf("fixture seeds no %s violation", class)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package dataset
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -129,14 +128,11 @@ func firstDiff(a, b []byte) int {
 func TestJSONLEncoderMatchesStdlib(t *testing.T) {
 	for _, s := range []*Snapshot{nastySnapshot(), {CollectedAt: 0}, persistSnapshot()} {
 		want := stdlibJSONL(t, s)
-		var got bytes.Buffer
-		if err := s.writeJSONL(&got, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		if d := firstDiff(got.Bytes(), want); d != -1 {
+		got := saveJSONL(t, s)
+		if d := firstDiff(got, want); d != -1 {
 			lo, hi := max(0, d-40), min(len(want), d+40)
 			t.Fatalf("encoding diverges at byte %d:\n hand:   %q\n stdlib: %q",
-				d, got.Bytes()[lo:min(len(got.Bytes()), hi)], want[lo:hi])
+				d, got[lo:min(len(got), hi)], want[lo:hi])
 		}
 	}
 }
@@ -146,7 +142,7 @@ func TestJSONLEncoderMatchesStdlib(t *testing.T) {
 func TestJSONLEncoderRejectsNaNLikeStdlib(t *testing.T) {
 	s := &Snapshot{Games: []GameRecord{{AppID: 1,
 		Achievements: []AchievementRecord{{Name: "bad", Percent: math.NaN()}}}}}
-	err := s.writeJSONL(io.Discard, 1, nil)
+	err := s.Save(filepath.Join(t.TempDir(), "nan.jsonl"))
 	if err == nil || !strings.Contains(err.Error(), "unsupported value") {
 		t.Fatalf("want json unsupported-value error, got %v", err)
 	}
@@ -159,21 +155,40 @@ func TestJSONLEncoderRejectsNaNLikeStdlib(t *testing.T) {
 // wrong: invalid UTF-8 legitimately round-trips to U+FFFD, exactly as
 // it always did with encoding/json.)
 func TestJSONLDecoderRoundTripsNastyRecords(t *testing.T) {
-	s := nastySnapshot()
-	var buf bytes.Buffer
-	if err := s.writeJSONL(&buf, 1, nil); err != nil {
+	raw := saveJSONL(t, nastySnapshot())
+	want := stdlibDecodeJSONL(t, raw)
+	if got := loadJSONL(t, raw); !reflect.DeepEqual(got, want) {
+		t.Fatal("round trip diverged from stdlib decode")
+	}
+}
+
+// saveJSONL returns the bytes Save writes for s as a single .jsonl file.
+func saveJSONL(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snap.jsonl")
+	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	want := stdlibDecodeJSONL(t, buf.Bytes())
-	for _, workers := range []int{1, 3} {
-		got := &Snapshot{}
-		if err := got.readJSONL(bufio.NewReader(bytes.NewReader(buf.Bytes())), workers, nil); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: round trip diverged from stdlib decode", workers)
-		}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
+}
+
+// loadJSONL decodes raw single-file bytes through Load, with no manifest
+// to verify them against.
+func loadJSONL(t testing.TB, raw []byte) *Snapshot {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "raw.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // stdlibDecodeJSONL replays the pre-codec decoder: one json.Unmarshal
@@ -206,12 +221,7 @@ func stdlibDecodeJSONL(t testing.TB, b []byte) *Snapshot {
 // The fast path must also agree with encoding/json on lines it accepts:
 // decode each canonical line both ways and compare.
 func TestJSONLFastPathAgreesWithStdlib(t *testing.T) {
-	s := nastySnapshot()
-	var buf bytes.Buffer
-	if err := s.writeJSONL(&buf, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	for lineNo, raw := range bytes.Split(buf.Bytes(), []byte{'\n'}) {
+	for lineNo, raw := range bytes.Split(saveJSONL(t, nastySnapshot()), []byte{'\n'}) {
 		if len(raw) == 0 {
 			continue
 		}
@@ -278,104 +288,6 @@ func TestSaveReproducesCommittedExampleBytes(t *testing.T) {
 	}
 }
 
-// Snapshot bytes are part of the determinism contract: saving the same
-// snapshot at any worker count must produce identical files (the
-// manifest's SHA-256 doubles as the witness).
-func TestSaveBytesIdenticalAcrossWorkers(t *testing.T) {
-	s := testSnapshot(t)
-	dir := t.TempDir()
-	var ref string
-	for _, w := range []int{1, 2, 3, 0} {
-		path := filepath.Join(dir, fmt.Sprintf("w%d.snap.jsonl", w))
-		if err := s.Save(path, WithWorkers(w)); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := fmt.Sprintf("%x", sha256.Sum256(b))
-		man, err := ReadManifest(path)
-		if err != nil || man == nil {
-			t.Fatalf("workers=%d: manifest: %v", w, err)
-		}
-		if man.FileSHA256 != sum {
-			t.Fatalf("workers=%d: manifest hash %s != file hash %s", w, man.FileSHA256, sum)
-		}
-		if ref == "" {
-			ref = sum
-		} else if sum != ref {
-			t.Fatalf("workers=%d: snapshot bytes differ (%s vs %s)", w, sum, ref)
-		}
-	}
-}
-
-// Decoding is equally worker-independent, including the reported errors
-// and the partial prefix decoded before one.
-func TestLoadIdenticalAcrossWorkers(t *testing.T) {
-	s := testSnapshot(t)
-	path := filepath.Join(t.TempDir(), "snap.jsonl")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	base, err := Load(path, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 3, 0} {
-		got, err := Load(path, WithWorkers(w))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d: loaded snapshot differs", w)
-		}
-	}
-}
-
-// A decode error deep in the file reports the same line number and
-// message for any worker count, with the same decoded prefix retained.
-func TestDecodeErrorsWorkerIndependent(t *testing.T) {
-	s := testSnapshot(t)
-	path := filepath.Join(t.TempDir(), "snap.jsonl")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(b, []byte{'\n'})
-	badAt := len(lines) * 2 / 3
-	lines[badAt] = []byte(`{"kind":"mystery"}`)
-	if err := os.WriteFile(path, bytes.Join(lines, []byte{'\n'}), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(ManifestPath(path)); err != nil {
-		t.Fatal(err)
-	}
-	wantErr := fmt.Sprintf("line %d: unknown record kind \"mystery\"", badAt+1)
-	var refUsers, refGames = -1, -1
-	for _, w := range []int{1, 2, 3, 0} {
-		got, err := Load(path, WithWorkers(w))
-		if err == nil || !strings.Contains(err.Error(), wantErr) {
-			t.Fatalf("workers=%d: want %q, got %v", w, wantErr, err)
-		}
-		// Load returns nil on decode error; fsck sees the partial decode.
-		_ = got
-		rep, ferr := FsckFile(path, nil, WithWorkers(w))
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		if refUsers == -1 {
-			refUsers, refGames = rep.Users, rep.Games
-		} else if rep.Users != refUsers || rep.Games != refGames {
-			t.Fatalf("workers=%d: partial decode shape %d/%d, want %d/%d",
-				w, rep.Users, rep.Games, refUsers, refGames)
-		}
-	}
-}
-
 // --- benchmarks ---------------------------------------------------------
 
 func benchCodecSnapshot(b *testing.B) *Snapshot {
@@ -414,12 +326,31 @@ func benchCodecSnapshot(b *testing.B) *Snapshot {
 	return s
 }
 
+// encodeJSONL renders s in memory with the per-record codec the Writer
+// uses, reusing buf.
+func encodeJSONL(buf []byte, s *Snapshot) ([]byte, error) {
+	b := appendHeaderLine(buf[:0], s.CollectedAt)
+	var err error
+	for i := 0; i < len(s.Games) && err == nil; i++ {
+		b, err = appendGameLine(b, &s.Games[i])
+	}
+	for i := 0; i < len(s.Users) && err == nil; i++ {
+		b, err = appendUserLine(b, &s.Users[i])
+	}
+	for i := 0; i < len(s.Groups) && err == nil; i++ {
+		b, err = appendGroupLine(b, &s.Groups[i])
+	}
+	return b, err
+}
+
 func BenchmarkJSONLEncodeHand(b *testing.B) {
 	s := benchCodecSnapshot(b)
+	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.writeJSONL(io.Discard, 1, nil); err != nil {
+		var err error
+		if buf, err = encodeJSONL(buf, s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -434,33 +365,36 @@ func BenchmarkJSONLEncodeStdlib(b *testing.B) {
 	}
 }
 
+// BenchmarkJSONLDecodeHand decodes through Load from a manifest-less
+// file, which the page cache serves after the first iteration.
 func BenchmarkJSONLDecodeHand(b *testing.B) {
-	s := benchCodecSnapshot(b)
-	var buf bytes.Buffer
-	if err := s.writeJSONL(&buf, 1, nil); err != nil {
+	raw, err := encodeJSONL(nil, benchCodecSnapshot(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "codec.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got := &Snapshot{}
-		if err := got.readJSONL(bufio.NewReader(bytes.NewReader(buf.Bytes())), 1, nil); err != nil {
+		if _, err := Load(path); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkJSONLDecodeStdlib(b *testing.B) {
-	s := benchCodecSnapshot(b)
-	var buf bytes.Buffer
-	if err := s.writeJSONL(&buf, 1, nil); err != nil {
+	raw, err := encodeJSONL(nil, benchCodecSnapshot(b))
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		got := &Snapshot{}
-		br := bufio.NewReader(bytes.NewReader(buf.Bytes()))
+		br := bufio.NewReader(bytes.NewReader(raw))
 		for lineNo := 1; ; lineNo++ {
 			raw, err := br.ReadBytes('\n')
 			if len(raw) == 0 {

@@ -39,9 +39,9 @@ type SectionSum struct {
 	// Records is the number of records in the section.
 	Records int `json:"records"`
 	// CRC32C is a Castagnoli CRC over the section's canonical binary
-	// encoding (see canon below), independent of the container format —
-	// the same snapshot saved as .gob and .jsonl carries the same
-	// section checksums.
+	// encoding (see canon below), independent of the byte layout — the
+	// same snapshot saved as .jsonl, .jsonl.gz and a .d directory carries
+	// the same section checksums.
 	CRC32C uint32 `json:"crc32c"`
 }
 
@@ -49,7 +49,7 @@ type SectionSum struct {
 // snapshot as <path>.manifest.json.
 type Manifest struct {
 	FormatVersion int    `json:"format_version"`
-	Encoding      string `json:"encoding"` // "gob" or "jsonl"
+	Encoding      string `json:"encoding"` // always "jsonl"
 	Compressed    bool   `json:"compressed"`
 	CollectedAt   int64  `json:"collected_at"`
 	// FileBytes and FileSHA256 cover the exact on-disk byte stream
@@ -75,7 +75,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // into a CRC hash: varints for integers and lengths, IEEE-754 bits for
 // floats, length-prefixed strings, fields in declaration order. The
 // encoding is defined here and nowhere else, so the checksum of a section
-// depends only on its values — NOT on the container format and not on
+// depends only on its values — NOT on the byte layout and not on
 // incidental process state. (An earlier draft hashed gob output; gob
 // assigns type IDs from a process-global counter, so the same records
 // hashed differently depending on what else the process had encoded.)
@@ -83,6 +83,8 @@ type canon struct {
 	h   hash.Hash32
 	buf [binary.MaxVarintLen64]byte
 }
+
+func newCanon() canon { return canon{h: crc32.New(castagnoli)} }
 
 func (c *canon) u64(v uint64)  { c.h.Write(c.buf[:binary.PutUvarint(c.buf[:], v)]) }
 func (c *canon) i64(v int64)   { c.h.Write(c.buf[:binary.PutVarint(c.buf[:], v)]) }
@@ -148,48 +150,24 @@ func (c *canon) group(g *GroupRecord) {
 	}
 }
 
-// sectionCRCUsers and friends compute the canonical checksum of each
-// section, reproducible from decoded data regardless of which container
-// format carried it.
-func sectionCRCUsers(recs []UserRecord) uint32 {
-	c := canon{h: crc32.New(castagnoli)}
-	for i := range recs {
-		c.user(&recs[i])
+// sectionSums re-derives each section's record count and canonical
+// checksum from decoded records, reproducible regardless of which layout
+// carried them.
+func (s *Snapshot) sectionSums() map[string]SectionSum {
+	games, users, groups := newCanon(), newCanon(), newCanon()
+	for i := range s.Games {
+		games.game(&s.Games[i])
 	}
-	return c.h.Sum32()
-}
-
-func sectionCRCGames(recs []GameRecord) uint32 {
-	c := canon{h: crc32.New(castagnoli)}
-	for i := range recs {
-		c.game(&recs[i])
+	for i := range s.Users {
+		users.user(&s.Users[i])
 	}
-	return c.h.Sum32()
-}
-
-func sectionCRCGroups(recs []GroupRecord) uint32 {
-	c := canon{h: crc32.New(castagnoli)}
-	for i := range recs {
-		c.group(&recs[i])
+	for i := range s.Groups {
+		groups.group(&s.Groups[i])
 	}
-	return c.h.Sum32()
-}
-
-// buildManifest assembles the manifest for a snapshot whose on-disk form
-// is fileBytes bytes hashing to fileSHA256.
-func (s *Snapshot) buildManifest(encoding string, compressed bool, fileBytes int64, fileSHA256 string) *Manifest {
-	return &Manifest{
-		FormatVersion: SnapshotFormatVersion,
-		Encoding:      encoding,
-		Compressed:    compressed,
-		CollectedAt:   s.CollectedAt,
-		FileBytes:     fileBytes,
-		FileSHA256:    fileSHA256,
-		Sections: map[string]SectionSum{
-			sectionUsers:  {Records: len(s.Users), CRC32C: sectionCRCUsers(s.Users)},
-			sectionGames:  {Records: len(s.Games), CRC32C: sectionCRCGames(s.Games)},
-			sectionGroups: {Records: len(s.Groups), CRC32C: sectionCRCGroups(s.Groups)},
-		},
+	return map[string]SectionSum{
+		sectionGames:  {Records: len(s.Games), CRC32C: games.h.Sum32()},
+		sectionUsers:  {Records: len(s.Users), CRC32C: users.h.Sum32()},
+		sectionGroups: {Records: len(s.Groups), CRC32C: groups.h.Sum32()},
 	}
 }
 
@@ -207,12 +185,11 @@ func (s *Snapshot) ContentSignature() string {
 	put := func(v uint64) { h.Write(buf[:binary.PutUvarint(buf[:], v)]) }
 	put(uint64(SnapshotFormatVersion))
 	put(uint64(int64(s.CollectedAt)))
-	put(uint64(len(s.Users)))
-	put(uint64(sectionCRCUsers(s.Users)))
-	put(uint64(len(s.Games)))
-	put(uint64(sectionCRCGames(s.Games)))
-	put(uint64(len(s.Groups)))
-	put(uint64(sectionCRCGroups(s.Groups)))
+	sums := s.sectionSums()
+	for _, name := range []string{sectionUsers, sectionGames, sectionGroups} {
+		put(uint64(sums[name].Records))
+		put(uint64(sums[name].CRC32C))
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -283,33 +260,32 @@ func (m *Manifest) verifyFile(path string) error {
 	return nil
 }
 
-// verifySections re-derives each section's count and checksum from the
-// decoded snapshot and reports every mismatch, localized to the damaged
-// section. The fail-fast Load path surfaces the first one; fsck keeps all.
-func (m *Manifest) verifySections(s *Snapshot) []Violation {
+// verifySections checks one read's re-derived section counts, canonical
+// checksums and header timestamp against the manifest and reports every
+// mismatch, localized to the damaged section. Load surfaces the first
+// one; fsck keeps all.
+func (m *Manifest) verifySections(collectedAt int64, got map[string]SectionSum) []Violation {
 	var out []Violation
-	check := func(name string, records int, crc uint32) {
+	for _, name := range []string{sectionUsers, sectionGames, sectionGroups} {
 		want, ok := m.Sections[name]
 		if !ok {
 			out = append(out, Violation{Class: ViolationSectionCount,
 				Detail: fmt.Sprintf("%s section missing from manifest", name)})
-			return
+			continue
 		}
-		if want.Records != records {
+		have := got[name]
+		if want.Records != have.Records {
 			out = append(out, Violation{Class: ViolationSectionCount,
-				Detail: fmt.Sprintf("%s section has %d records, manifest records %d", name, records, want.Records)})
+				Detail: fmt.Sprintf("%s section has %d records, manifest records %d", name, have.Records, want.Records)})
 		}
-		if want.CRC32C != crc {
+		if want.CRC32C != have.CRC32C {
 			out = append(out, Violation{Class: ViolationSectionChecksum,
-				Detail: fmt.Sprintf("%s section checksum mismatch (file %08x, manifest %08x)", name, crc, want.CRC32C)})
+				Detail: fmt.Sprintf("%s section checksum mismatch (file %08x, manifest %08x)", name, have.CRC32C, want.CRC32C)})
 		}
 	}
-	check(sectionUsers, len(s.Users), sectionCRCUsers(s.Users))
-	check(sectionGames, len(s.Games), sectionCRCGames(s.Games))
-	check(sectionGroups, len(s.Groups), sectionCRCGroups(s.Groups))
-	if s.CollectedAt != m.CollectedAt {
+	if collectedAt != m.CollectedAt {
 		out = append(out, Violation{Class: ViolationHeader,
-			Detail: fmt.Sprintf("header CollectedAt %d, manifest records %d", s.CollectedAt, m.CollectedAt)})
+			Detail: fmt.Sprintf("header CollectedAt %d, manifest records %d", collectedAt, m.CollectedAt)})
 	}
 	return out
 }

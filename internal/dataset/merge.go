@@ -89,8 +89,8 @@ func mergeParts(parts []*Snapshot, progress ProgressFunc) (*Snapshot, error) {
 //
 // MergeAt shares the snapshot pipeline's single option set (see Option):
 // WithProgress reports per-section merged record counts after each part
-// folds in; WithWorkers is accepted for uniformity. The merged snapshot
-// is identical for any combination of options.
+// folds in. The merged snapshot is identical for any combination of
+// options.
 func MergeAt(collectedAt int64, parts []*Snapshot, opts ...Option) (*Snapshot, error) {
 	o := buildOptions(opts)
 	out, err := mergeParts(parts, o.progress)

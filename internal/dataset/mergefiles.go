@@ -24,11 +24,10 @@ var errUnsortedPart = errors.New("part not sorted by record ID")
 
 // MergeFilesAt merges the snapshot files at parts into out, stamped with
 // collectedAt, deduplicating exactly like MergeAt: the latest part's
-// record wins per SteamID/AppID, group member sets union. JSONL parts
-// with ID-sorted sections (every file this package writes) merge in one
-// streaming pass holding only the stream heads; gob containers or
-// unsorted parts fall back to loading everything, preserving behavior at
-// a memory cost.
+// record wins per SteamID/AppID, group member sets union. Parts with
+// ID-sorted sections (every file this package writes) merge in one
+// streaming pass holding only the stream heads; unsorted parts fall back
+// to loading everything, preserving behavior at a memory cost.
 //
 // Options apply to out's encoding (WithShardRecords for a .d directory)
 // and to the fallback path's decode; WithProgress reports per-section
@@ -37,25 +36,15 @@ func MergeFilesAt(collectedAt int64, out string, parts []string, opts ...Option)
 	if len(parts) == 0 {
 		return fmt.Errorf("dataset: nothing to merge")
 	}
-	streamable := func(p string) bool {
-		enc, _, _, err := snapshotPath(p)
-		return err == nil && enc == encJSONL
+	err := mergeFilesStreaming(collectedAt, out, parts, opts)
+	if errors.Is(err, errUnsortedPart) {
+		return mergeFilesLoaded(collectedAt, out, parts, opts)
 	}
-	canStream := streamable(out)
-	for _, p := range parts {
-		canStream = canStream && streamable(p)
-	}
-	if canStream {
-		err := mergeFilesStreaming(collectedAt, out, parts, opts)
-		if err == nil || !errors.Is(err, errUnsortedPart) {
-			return err
-		}
-	}
-	return mergeFilesLoaded(collectedAt, out, parts, opts)
+	return err
 }
 
 // mergeFilesLoaded is the reference path: decode every part, MergeAt,
-// Save. Gob containers and unsorted parts land here.
+// Save. Unsorted parts land here.
 func mergeFilesLoaded(collectedAt int64, out string, parts []string, opts []Option) error {
 	loaded := make([]*Snapshot, len(parts))
 	for i, p := range parts {
@@ -111,18 +100,17 @@ func (ms *mergeStream) advance() error {
 	return nil
 }
 
+// mergeFilesStreaming writes the merge through a Writer, whose progress
+// reports are the per-section merged record counts.
 func mergeFilesStreaming(collectedAt int64, out string, parts []string, opts []Option) error {
-	o := buildOptions(opts)
 	w, err := NewWriter(out, collectedAt, opts...)
 	if err != nil {
 		return err
 	}
 	defer w.Abort()
 
-	for _, section := range []string{sectionGames, sectionUsers, sectionGroups} {
-		emitted := 0
+	for _, section := range writerSections {
 		err := mergeSection(parts, section, func(rec *Record) error {
-			emitted++
 			switch rec.Kind {
 			case KindGame:
 				return w.WriteGame(&rec.Game)
@@ -152,9 +140,6 @@ func mergeFilesStreaming(collectedAt int64, out string, parts []string, opts []O
 		})
 		if err != nil {
 			return err
-		}
-		if o.progress != nil {
-			o.progress(section, emitted)
 		}
 	}
 	_, err = w.Close()

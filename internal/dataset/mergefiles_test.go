@@ -191,25 +191,34 @@ func TestMergeFilesAtUnsortedPartFallsBack(t *testing.T) {
 	}
 }
 
-// Gob parts cannot stream; the merge silently takes the load-all path.
-func TestMergeFilesAtGobPartFallsBack(t *testing.T) {
+// A part whose disorder only shows in its last section is caught after
+// the streaming merge has already written games and users: the half
+// written output is discarded and the load-all merge produces the
+// reference bytes.
+func TestMergeFilesAtLateUnsortedPartFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	a, b := mergePartA(), mergePartB()
-	pa, pb := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.gob")
+	a := mergePartA()
+	c := &Snapshot{
+		CollectedAt: 200,
+		Users:       []UserRecord{{SteamID: 4}, {SteamID: 5}},
+		Games:       []GameRecord{{AppID: 30, Name: "Gamma"}},
+		Groups:      []GroupRecord{{GID: 9, Name: "late"}, {GID: 8, Name: "early"}},
+	}
+	pa, pc := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "c.jsonl.gz")
 	if err := a.Save(pa); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Save(pb); err != nil {
+	if err := c.Save(pc); err != nil {
 		t.Fatal(err)
 	}
-	ref := mergeReference(t, dir, a, b)
+	ref := mergeReference(t, dir, a, c)
 
 	got := filepath.Join(dir, "got.jsonl")
-	if err := MergeFilesAt(7, got, []string{pa, pb}); err != nil {
+	if err := MergeFilesAt(7, got, []string{pa, pc}); err != nil {
 		t.Fatal(err)
 	}
 	if string(readFileT(t, got)) != string(readFileT(t, ref)) {
-		t.Fatal("gob fallback merge bytes differ from in-memory merge")
+		t.Fatal("fallback merge bytes differ from in-memory merge")
 	}
 }
 

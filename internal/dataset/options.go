@@ -4,14 +4,12 @@ package dataset
 // One documented option set covers every variadic entry point — Save,
 // Load, Fsck, FsckFile and MergeAt — so a caller composing a pipeline
 // (load → merge → save → fsck) threads the same options through all of
-// it. There are no save-only or load-only options: the parallel codec,
-// the sharded fsck and the merge are deterministic, so every option is
-// purely a throughput or observability knob and an entry point that has
-// no use for a given option simply ignores it.
+// it. There are no save-only or load-only options: every option is a
+// layout or observability knob, and an entry point that has no use for a
+// given option simply ignores it.
 type Option func(*options)
 
 type options struct {
-	workers      int
 	progress     ProgressFunc
 	shardRecords int
 }
@@ -22,16 +20,6 @@ func buildOptions(opts []Option) options {
 		fn(&o)
 	}
 	return o
-}
-
-// WithWorkers sets the worker count for the chunked JSONL codec (encode
-// and decode) and the sharded referential fsck. Values <= 0 mean one
-// worker per logical CPU (the default); 1 forces the serial path. The
-// output is byte-identical for any value — see internal/par for the
-// determinism contract. MergeAt accepts the option for pipeline
-// uniformity; the merge itself is a map-bound sequential pass.
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
 }
 
 // WithShardRecords sets the fixed record count per segment when writing
@@ -50,11 +38,14 @@ func WithShardRecords(n int) Option {
 // non-decreasing order per section.
 type ProgressFunc func(section string, records int)
 
-// WithProgress registers a progress callback: Load and FsckFile report
-// decoded records, Save reports encoded records, and MergeAt reports
-// merged records after each part folds in — so a multi-GB operation is
-// observable (e.g. via obs gauges) instead of silent. The callback must
-// be cheap; it is invoked once per processed window, not once per record.
+// WithProgress registers a progress callback. The snapshot Writer (Save,
+// WriteUniverse, the streaming merge) reports encoded records and the
+// Reader (Load, FsckFile) decoded records, every jsonlChunk records and
+// once more at the end of each section, for single files and sharded
+// directories alike; MergeAt reports merged records after each part folds
+// in. A multi-GB operation is thereby observable (e.g. via obs gauges)
+// instead of silent. The in-memory Fsck does no I/O and reports nothing.
+// The callback must be cheap.
 func WithProgress(fn ProgressFunc) Option {
 	return func(o *options) { o.progress = fn }
 }

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestOptionsGolden proves the unified option set is purely observational:
-// for every container format, saving the same snapshot with no options,
-// with every worker-count variant, and with a progress callback produces
-// byte-identical files and byte-identical manifests. The committed
+// TestOptionsGolden proves the option set leaves single files untouched:
+// for both single-file forms, saving the same snapshot with no options,
+// with a progress callback, and with a shard size (a .d-only layout
+// choice) produces byte-identical files and byte-identical manifests. The committed
 // example snapshot doubles as the golden input so the assertion is pinned
 // to real bytes in the tree, not to whatever this build happens to emit.
 func TestOptionsGolden(t *testing.T) {
@@ -19,15 +19,15 @@ func TestOptionsGolden(t *testing.T) {
 		t.Fatalf("loading example snapshot: %v", err)
 	}
 	dir := t.TempDir()
-	for _, ext := range []string{".jsonl", ".jsonl.gz", ".gob", ".gob.gz"} {
+	for _, ext := range []string{".jsonl", ".jsonl.gz"} {
 		variants := []struct {
 			name string
 			opts []Option
 		}{
 			{"none", nil},
-			{"workers1", []Option{WithWorkers(1)}},
-			{"workers4", []Option{WithWorkers(4)}},
-			{"progress", []Option{WithProgress(func(string, int) {}), WithWorkers(2)}},
+			{"progress", []Option{WithProgress(func(string, int) {})}},
+			{"shard-records", []Option{WithShardRecords(7)}},
+			{"both", []Option{WithProgress(func(string, int) {}), WithShardRecords(3)}},
 		}
 		var goldData, goldMan []byte
 		for _, v := range variants {
@@ -75,7 +75,7 @@ func TestOptionsGoldenRoundTrip(t *testing.T) {
 		t.Fatal("example snapshot has no committed manifest")
 	}
 	resaved := filepath.Join(t.TempDir(), "resave.jsonl")
-	if err := snap.Save(resaved, WithWorkers(3)); err != nil {
+	if err := snap.Save(resaved); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadManifest(resaved)
@@ -106,7 +106,7 @@ func TestMergeAtOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := map[string]int{}
-	withOpts, err := MergeAt(42, parts, WithWorkers(2), WithProgress(func(section string, records int) {
+	withOpts, err := MergeAt(42, parts, WithProgress(func(section string, records int) {
 		if records < last[section] {
 			t.Errorf("progress for %s went backwards: %d then %d", section, last[section], records)
 		}

@@ -1,67 +1,38 @@
 package dataset
 
 import (
-	"bufio"
 	"bytes"
-	"compress/gzip"
-	"crypto/sha256"
-	"encoding/gob"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 	"syscall"
-
-	"steamstudy/internal/par"
 )
 
-// Container encodings.
-const (
-	encGob   = "gob"
-	encJSONL = "jsonl"
-)
-
-// snapshotFormat maps a path to its encoding by explicit suffix. Unknown
-// extensions are rejected up front — better a clear error at the CLI than
-// a gob decoder chewing on a CSV.
-func snapshotFormat(path string) (encoding string, gzipped bool, err error) {
-	switch {
-	case strings.HasSuffix(path, ".gob"):
-		return encGob, false, nil
-	case strings.HasSuffix(path, ".gob.gz"):
-		return encGob, true, nil
-	case strings.HasSuffix(path, ".jsonl"):
-		return encJSONL, false, nil
-	case strings.HasSuffix(path, ".jsonl.gz"):
-		return encJSONL, true, nil
-	default:
-		return "", false, fmt.Errorf("dataset: %s: unknown snapshot extension (want .gob, .gob.gz, .jsonl or .jsonl.gz)", path)
-	}
-}
+// encJSONL is the container encoding every manifest records: JSONL is the
+// only snapshot container, as a single file or a sharded directory.
+const encJSONL = "jsonl"
 
 // CheckSnapshotPath reports whether path names a snapshot this package
 // can read or write, judging by the path alone (the file need not
-// exist): a single file by extension, or the sharded directory layout by
-// its ".d" suffix. CLIs use it to reject a typo'd -snapshot flag before
-// any work happens; the error names the accepted forms, and a path that
-// points at a segment file inside a sharded directory fails with
-// ErrShardSegment (the caller wants the directory).
+// exist): a single ".jsonl" or ".jsonl.gz" file, or the sharded
+// directory layout by its ".d" suffix. CLIs use it to reject a typo'd
+// -snapshot flag before any work happens; the error names the accepted
+// forms, and a path that points at a segment file inside a sharded
+// directory fails with ErrShardSegment (the caller wants the directory).
 func CheckSnapshotPath(path string) error {
-	_, _, _, err := snapshotPath(path)
+	_, _, err := snapshotPath(path)
 	return err
 }
 
-// saveCrashHook, when non-nil, is consulted at the named stages of Save's
-// write protocol; returning an error aborts the save there. It exists so
-// the crash-chaos tests can prove each intermediate on-disk state is safe.
-// Stages: "temp-written" (payload durable, nothing published),
-// "manifest-retired" (old sidecar gone, old data still in place),
-// "data-renamed" (new data published, sidecar not yet).
+// saveCrashHook, when non-nil, is consulted at the named stages of the
+// Writer's publish protocol (Save included); returning an error aborts the
+// save there. It exists so the crash-chaos tests can prove each
+// intermediate on-disk state is safe. Stages: "temp-written" (payload
+// durable, nothing published), "manifest-retired" (old sidecar gone, old
+// data still in place), "data-renamed" (new data published, sidecar not
+// yet).
 var saveCrashHook func(stage string) error
 
 func saveCrash(stage string) error {
@@ -83,11 +54,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Save writes the snapshot to path, durably and atomically. The format is
-// selected by extension: ".gob" / ".gob.gz" for the compact binary form,
-// ".jsonl" / ".jsonl.gz" for a line-oriented JSON export (one record per
-// line with a type tag), matching the "full dataset available for
-// download" spirit of §3.1.
+// Save writes the snapshot to path, durably and atomically, by draining
+// it into NewWriter: a ".jsonl" or ".jsonl.gz" file (one record per line
+// with a type tag, matching the "full dataset available for download"
+// spirit of §3.1) or a ".d" sharded directory.
 //
 // The write protocol never exposes a torn file: the payload goes to a
 // temp file in the destination directory, is fsynced, and only then
@@ -100,118 +70,32 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // fails verification, and never a half-written snapshot. Stale ".tmp-*"
 // files from a crashed save are inert and may be deleted freely.
 //
-// Options: WithWorkers parallelizes the JSONL encoding (chunks encoded
-// concurrently, written in index order through the same single hashing
-// pass), producing byte-identical files for any worker count;
+// Options: WithShardRecords sets the segment size of a ".d" layout;
 // WithProgress reports per-section record counts as they are encoded.
-// No option changes the bytes written.
-func (s *Snapshot) Save(path string, opts ...Option) (err error) {
-	o := buildOptions(opts)
-	encoding, gzipped, sharded, err := snapshotPath(path)
+// No option changes the bytes of a single-file snapshot.
+func (s *Snapshot) Save(path string, opts ...Option) error {
+	w, err := NewWriter(path, s.CollectedAt, opts...)
 	if err != nil {
 		return err
 	}
-	if sharded {
-		return s.saveSharded(path, opts)
-	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-")
-	if err != nil {
-		return fmt.Errorf("dataset: creating temp for %s: %w", path, err)
-	}
-	tmp := f.Name()
-	closed := false
-	defer func() {
-		// Abort path: the destination has not been renamed over, so the
-		// previous snapshot (if any) is untouched; drop the temp and
-		// report the first error exactly once.
-		if err != nil {
-			if !closed {
-				f.Close()
-			}
-			os.Remove(tmp)
-		}
-	}()
-
-	hash := sha256.New()
-	cw := &countingWriter{w: io.MultiWriter(f, hash)}
-	var payload io.Writer = cw
-	var gz *gzip.Writer
-	if gzipped {
-		gz = gzip.NewWriter(cw)
-		payload = gz
-	}
-	bw := bufio.NewWriterSize(payload, 1<<20)
-	if encoding == encJSONL {
-		err = s.writeJSONL(bw, o.workers, o.progress)
-	} else {
-		err = gob.NewEncoder(bw).Encode(s)
-		if err == nil && o.progress != nil {
-			// Gob encodes in one shot; report the final shape so callers
-			// see the same section events for either container format.
-			o.progress(sectionGames, len(s.Games))
-			o.progress(sectionUsers, len(s.Users))
-			o.progress(sectionGroups, len(s.Groups))
+	defer w.Abort()
+	for i := range s.Games {
+		if err := w.WriteGame(&s.Games[i]); err != nil {
+			return err
 		}
 	}
-	if err != nil {
-		return fmt.Errorf("dataset: encoding %s: %w", path, err)
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("dataset: writing %s: %w", path, err)
-	}
-	if gz != nil {
-		if err = gz.Close(); err != nil {
-			return fmt.Errorf("dataset: compressing %s: %w", path, err)
+	for i := range s.Users {
+		if err := w.WriteUser(&s.Users[i]); err != nil {
+			return err
 		}
 	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("dataset: fsync %s: %w", path, err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("dataset: closing temp for %s: %w", path, err)
-	}
-	closed = true
-	if err = saveCrash("temp-written"); err != nil {
-		return err
-	}
-
-	man := s.buildManifest(encoding, gzipped, cw.n, hex.EncodeToString(hash.Sum(nil)))
-	manTmp, err := writeManifestTemp(dir, man)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			os.Remove(manTmp)
+	for i := range s.Groups {
+		if err := w.WriteGroup(&s.Groups[i]); err != nil {
+			return err
 		}
-	}()
-
-	// Publish. Retire the old manifest first: every crash window then
-	// holds either a (data, manifest) pair that verifies, or data with no
-	// manifest — never fresh data checked against a stale sidecar.
-	if err = removeStaleManifest(path); err != nil {
-		return err
 	}
-	if err = syncDir(dir); err != nil {
-		return err
-	}
-	if err = saveCrash("manifest-retired"); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("dataset: publishing %s: %w", path, err)
-	}
-	if err = saveCrash("data-renamed"); err != nil {
-		return err
-	}
-	if err = os.Rename(manTmp, ManifestPath(path)); err != nil {
-		return fmt.Errorf("dataset: publishing manifest for %s: %w", path, err)
-	}
-	if err = syncDir(dir); err != nil {
-		return err
-	}
-	return nil
+	_, err = w.Close()
+	return err
 }
 
 // syncDir fsyncs a directory so a just-completed rename survives power
@@ -230,96 +114,77 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Load reads a snapshot written by Save. When the sidecar manifest is
-// present the snapshot is verified against it — format version, decoded
-// section counts and checksums, then the whole-file hash — and damage is
-// reported localized to the failing section ("games section checksum
-// mismatch") rather than as a bare decode error. Snapshots without a
-// manifest (pre-manifest files, or a crash that published data before its
-// sidecar) load unverified.
+// Load reads a snapshot written by Save by collecting every record from
+// OpenReader. When the sidecar manifest is present the snapshot is
+// verified against it — format version, the raw bytes (a single file's
+// whole-file hash up front; a directory's per-segment checksums while
+// streaming), then the decoded section counts and checksums — and damage
+// is reported localized to the failing section ("games section checksum
+// mismatch") or segment rather than as a bare decode error. Snapshots
+// without a manifest (pre-manifest files, or a crash that published data
+// before its sidecar) load unverified.
 //
-// Options: WithWorkers parallelizes the JSONL chunk decoding (lines are
-// still read in one pass and records appended in file order);
-// WithProgress reports per-section record counts as they decode.
+// Options: WithProgress reports per-section record counts as they decode.
 func Load(path string, opts ...Option) (*Snapshot, error) {
-	o := buildOptions(opts)
-	encoding, gzipped, sharded, err := snapshotPath(path)
+	_, sharded, err := snapshotPath(path)
 	if err != nil {
 		return nil, err
 	}
-	if sharded {
-		return loadSharded(path, o)
-	}
-	man, err := ReadManifest(path)
-	if err != nil {
-		return nil, err
-	}
+	var man *Manifest
 	var hashErr error
-	if man != nil {
-		if man.FormatVersion > SnapshotFormatVersion {
-			return nil, fmt.Errorf("dataset: %s: manifest format version %d is newer than this build supports (%d)",
-				path, man.FormatVersion, SnapshotFormatVersion)
+	if !sharded {
+		if man, err = checkedManifest(path, SnapshotFormatVersion); err != nil {
+			return nil, err
 		}
-		// Remember raw-byte damage but prefer reporting it per section
-		// below: "games section checksum mismatch" localizes the rot,
-		// "file hash mismatch" merely confirms it.
-		hashErr = man.verifyFile(path)
+		if man != nil {
+			// Remember raw-byte damage but prefer reporting it per section
+			// below: "games section checksum mismatch" localizes the rot,
+			// "file hash mismatch" merely confirms it.
+			hashErr = man.verifyFile(path)
+		}
 	}
-	s, err := decodeSnapshotFile(path, encoding, gzipped, o)
+	r, err := openReader(path, 0, true, buildOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	s, err := r.collect()
 	if err != nil {
 		if hashErr != nil {
 			return nil, fmt.Errorf("%w (raw-byte check also failed: %v)", err, hashErr)
 		}
 		return nil, err
 	}
+	if sharded {
+		man = r.Manifest()
+		if man != nil && r.FileSHA256() != man.FileSHA256 {
+			hashErr = fmt.Errorf("dataset: %s stream hash mismatch (got %s, manifest %s): on-disk corruption",
+				path, r.FileSHA256(), man.FileSHA256)
+		}
+	}
 	if man != nil {
-		if v := man.verifySections(s); len(v) > 0 {
+		if v := man.verifySections(s.CollectedAt, s.sectionSums()); len(v) > 0 {
 			return nil, fmt.Errorf("dataset: %s: %s", path, v[0].Detail)
 		}
-		if hashErr != nil {
-			return nil, hashErr
-		}
+	}
+	if hashErr != nil {
+		return nil, hashErr
 	}
 	return s, nil
 }
 
-// decodeSnapshotFile decodes the container without any manifest checks.
-// For JSONL the returned snapshot holds every record decoded before an
-// error, so fsck can still describe a partially readable file.
-func decodeSnapshotFile(path, encoding string, gzipped bool, o options) (*Snapshot, error) {
-	f, err := os.Open(path)
+// checkedManifest reads path's sidecar manifest and refuses one whose
+// format version is newer than maxVersion rather than guessing.
+func checkedManifest(path string, maxVersion int) (*Manifest, error) {
+	man, err := ReadManifest(path)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: opening %s: %w", path, err)
+		return nil, err
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if gzipped {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: gzip header: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
+	if man != nil && man.FormatVersion > maxVersion {
+		return nil, fmt.Errorf("dataset: %s: manifest format version %d is newer than this build supports (%d)",
+			path, man.FormatVersion, maxVersion)
 	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	s := &Snapshot{}
-	if encoding == encJSONL {
-		if err := s.readJSONL(br, o.workers, o.progress); err != nil {
-			return s, fmt.Errorf("dataset: decoding %s: %w", path, err)
-		}
-		return s, nil
-	}
-	if err := gob.NewDecoder(br).Decode(s); err != nil {
-		return &Snapshot{}, fmt.Errorf("dataset: decoding %s: %w", path, err)
-	}
-	if o.progress != nil {
-		// Gob decodes in one shot; report the final shape so callers see
-		// the same section events for either container format.
-		o.progress(sectionGames, len(s.Games))
-		o.progress(sectionUsers, len(s.Users))
-		o.progress(sectionGroups, len(s.Groups))
-	}
-	return s, nil
+	return man, nil
 }
 
 // jsonlLine is the tagged union for the JSONL export.
@@ -331,98 +196,12 @@ type jsonlLine struct {
 	Group       *GroupRecord `json:"group,omitempty"`
 }
 
-// jsonlChunk is the fixed number of records per encoded or decoded
-// chunk. Like simworld's genChunk it is part of the work partition, not
-// derived from the worker count, so chunk boundaries — and therefore the
-// bytes, errors and record order — are identical for any Workers value.
+// jsonlChunk is the fixed number of lines the Reader decodes at a time,
+// and the record interval at which the Writer and Reader report progress.
 const jsonlChunk = 512
 
-// chunkBufPool recycles chunk encode buffers across sections and saves.
-var chunkBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-type encodedChunk struct {
-	buf *[]byte
-	err error
-}
-
-// writeJSONL streams the export: chunks of records are encoded by the
-// hand-rolled codec on the worker pool while the caller's goroutine
-// writes them in index order through the single bufio+hash pass.
-func (s *Snapshot) writeJSONL(w io.Writer, workers int, progress ProgressFunc) error {
-	if _, err := w.Write(appendHeaderLine(nil, s.CollectedAt)); err != nil {
-		return err
-	}
-	if err := writeSection(w, workers, len(s.Games), sectionGames, progress, func(b []byte, i int) ([]byte, error) {
-		return appendGameLine(b, &s.Games[i])
-	}); err != nil {
-		return err
-	}
-	if err := writeSection(w, workers, len(s.Users), sectionUsers, progress, func(b []byte, i int) ([]byte, error) {
-		return appendUserLine(b, &s.Users[i])
-	}); err != nil {
-		return err
-	}
-	return writeSection(w, workers, len(s.Groups), sectionGroups, progress, func(b []byte, i int) ([]byte, error) {
-		return appendGroupLine(b, &s.Groups[i])
-	})
-}
-
-func writeSection(w io.Writer, workers, n int, section string, progress ProgressFunc, enc func(b []byte, i int) ([]byte, error)) error {
-	nc := (n + jsonlChunk - 1) / jsonlChunk
-	if par.N(workers) <= 1 {
-		// Sequential fast path: with one effective worker the pipeline has
-		// no parallelism to buy back its plumbing, so encode chunk by chunk
-		// into a single reused buffer. Chunk boundaries and encode order
-		// match the pooled path exactly, so the byte stream is identical.
-		buf := chunkBufPool.Get().(*[]byte)
-		defer chunkBufPool.Put(buf)
-		for c := 0; c < nc; c++ {
-			b := (*buf)[:0]
-			lo, hi := c*jsonlChunk, min((c+1)*jsonlChunk, n)
-			var err error
-			for i := lo; i < hi && err == nil; i++ {
-				b, err = enc(b, i)
-			}
-			*buf = b
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-			if progress != nil {
-				progress(section, hi)
-			}
-		}
-		return nil
-	}
-	return par.Ordered(workers, nc, func(c int) encodedChunk {
-		buf := chunkBufPool.Get().(*[]byte)
-		b := (*buf)[:0]
-		lo, hi := c*jsonlChunk, min((c+1)*jsonlChunk, n)
-		var err error
-		for i := lo; i < hi && err == nil; i++ {
-			b, err = enc(b, i)
-		}
-		*buf = b
-		return encodedChunk{buf: buf, err: err}
-	}, func(c int, ec encodedChunk) error {
-		defer chunkBufPool.Put(ec.buf)
-		if ec.err != nil {
-			return ec.err
-		}
-		if _, err := w.Write(*ec.buf); err != nil {
-			return err
-		}
-		if progress != nil {
-			progress(section, min((c+1)*jsonlChunk, n))
-		}
-		return nil
-	})
-}
-
 // rawLine is one non-blank input line with its 1-based file line number
-// (blank lines are skipped but still numbered, like the serial decoder).
+// (blank lines are skipped but still numbered).
 type rawLine struct {
 	no int
 	b  []byte
@@ -431,20 +210,18 @@ type rawLine struct {
 type decodedChunk struct {
 	recs []decodedLine
 	// err, if non-nil, occurred at line errLine; recs holds everything
-	// decoded before it, preserving the serial decoder's partial result.
+	// decoded before it.
 	err     error
 	errLine int
 }
 
-// decodeChunk parses one batch of lines: the strict fast path for the
-// canonical layout, encoding/json for anything else, with identical
-// errors either way.
-func decodeChunk(lines []rawLine) decodedChunk {
-	var out decodedChunk
-	out.recs = make([]decodedLine, 0, len(lines))
-	// One interner per chunk: duplicate strings collapse within the chunk
-	// with no cross-goroutine sharing, so the parallel decode stays
-	// lock-free. Cross-chunk duplicates cost one instance per chunk.
+// decodeChunk parses one batch of lines into recs[:0]: the strict fast
+// path for the canonical layout, encoding/json for anything else, with
+// identical errors either way.
+func decodeChunk(lines []rawLine, recs []decodedLine) decodedChunk {
+	out := decodedChunk{recs: recs[:0]}
+	// One interner per chunk: duplicate strings collapse within the chunk;
+	// cross-chunk duplicates cost one instance per chunk.
 	var in interner
 	for _, ln := range lines {
 		trimmed := bytes.TrimSpace(ln.b)
@@ -488,161 +265,4 @@ func decodeChunk(lines []rawLine) decodedChunk {
 		out.recs = append(out.recs, rec)
 	}
 	return out
-}
-
-// readJSONL decodes the line-oriented export: one goroutine reads lines
-// in a single pass, windows of fixed-width chunks are parsed on the
-// worker pool, and records are appended in file order. Every error still
-// carries the offending line number — on a 100M-record export
-// "line 83441972: unknown record kind" beats an anonymous decode failure
-// — and everything decoded before the error is kept, so fsck can
-// describe a partially readable file.
-func (s *Snapshot) readJSONL(br *bufio.Reader, workers int, progress ProgressFunc) error {
-	w := par.N(workers)
-	if w <= 1 {
-		return s.readJSONLSerial(br, progress)
-	}
-	window := 2 * w // chunks decoded per barrier; bounds memory
-	lineNo := 0
-	report := func() {
-		if progress != nil {
-			progress(sectionGames, len(s.Games))
-			progress(sectionUsers, len(s.Users))
-			progress(sectionGroups, len(s.Groups))
-		}
-	}
-	for {
-		// Fill a window of chunks from the reader.
-		var chunks [][]rawLine
-		var cur []rawLine
-		var ioErr error
-		ioErrLine := 0
-		eof := false
-		for len(chunks) < window && !eof && ioErr == nil {
-			lineNo++
-			raw, err := br.ReadBytes('\n')
-			if len(raw) == 0 || (err != nil && err != io.EOF) {
-				if err == io.EOF {
-					eof = true
-					break
-				}
-				ioErr, ioErrLine = err, lineNo
-				break
-			}
-			if len(bytes.TrimSpace(raw)) != 0 {
-				cur = append(cur, rawLine{no: lineNo, b: raw})
-				if len(cur) == jsonlChunk {
-					chunks = append(chunks, cur)
-					cur = nil
-				}
-			}
-			if err == io.EOF {
-				eof = true
-			}
-		}
-		if len(cur) > 0 {
-			chunks = append(chunks, cur)
-		}
-
-		// Decode the window on the pool, then merge in file order.
-		results := make([]decodedChunk, len(chunks))
-		par.For(workers, len(chunks), func(i int) { results[i] = decodeChunk(chunks[i]) })
-		for _, dc := range results {
-			for i := range dc.recs {
-				switch rec := &dc.recs[i]; rec.kind {
-				case 'h':
-					s.CollectedAt = rec.collectedAt
-				case 'g':
-					s.Games = append(s.Games, rec.game)
-				case 'u':
-					s.Users = append(s.Users, rec.user)
-				case 'p':
-					s.Groups = append(s.Groups, rec.group)
-				}
-			}
-			if dc.err != nil {
-				report()
-				return fmt.Errorf("line %d: %w", dc.errLine, dc.err)
-			}
-		}
-		report()
-		if ioErr != nil {
-			return fmt.Errorf("line %d: %w", ioErrLine, ioErr)
-		}
-		if eof {
-			return nil
-		}
-	}
-}
-
-// readJSONLSerial is the one-effective-worker decode path: each chunk is
-// parsed and merged as soon as its lines are read, with no window
-// buffering and no pool barrier. Chunk boundaries, partial results,
-// errors and line numbers all match the windowed path exactly.
-func (s *Snapshot) readJSONLSerial(br *bufio.Reader, progress ProgressFunc) error {
-	lineNo := 0
-	report := func() {
-		if progress != nil {
-			progress(sectionGames, len(s.Games))
-			progress(sectionUsers, len(s.Users))
-			progress(sectionGroups, len(s.Groups))
-		}
-	}
-	var cur []rawLine
-	// flush decodes the pending chunk; like the windowed path it keeps
-	// everything decoded before an error and reports before returning it.
-	flush := func() error {
-		if len(cur) == 0 {
-			return nil
-		}
-		dc := decodeChunk(cur)
-		cur = cur[:0]
-		for i := range dc.recs {
-			switch rec := &dc.recs[i]; rec.kind {
-			case 'h':
-				s.CollectedAt = rec.collectedAt
-			case 'g':
-				s.Games = append(s.Games, rec.game)
-			case 'u':
-				s.Users = append(s.Users, rec.user)
-			case 'p':
-				s.Groups = append(s.Groups, rec.group)
-			}
-		}
-		if dc.err != nil {
-			report()
-			return fmt.Errorf("line %d: %w", dc.errLine, dc.err)
-		}
-		return nil
-	}
-	for {
-		lineNo++
-		raw, err := br.ReadBytes('\n')
-		if len(raw) == 0 || (err != nil && err != io.EOF) {
-			if ferr := flush(); ferr != nil {
-				return ferr
-			}
-			report()
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		if len(bytes.TrimSpace(raw)) != 0 {
-			cur = append(cur, rawLine{no: lineNo, b: raw})
-			if len(cur) == jsonlChunk {
-				if ferr := flush(); ferr != nil {
-					return ferr
-				}
-				report()
-			}
-		}
-		if err == io.EOF {
-			if ferr := flush(); ferr != nil {
-				return ferr
-			}
-			report()
-			return nil
-		}
-	}
 }

@@ -1,10 +1,15 @@
 package dataset
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,10 +40,11 @@ func persistSnapshot() *Snapshot {
 
 func TestSaveRejectsUnknownExtension(t *testing.T) {
 	s := persistSnapshot()
-	for _, name := range []string{"snap.json", "snap.gob.bak", "snapjson", "snap.jsonl.zip", "snap"} {
+	// The retired gob container is as unknown as any other extension.
+	for _, name := range []string{"snap.json", "snap.gob", "snap.gob.gz", "snap.gob.bak", "snapjson", "snap.jsonl.zip", "snap"} {
 		err := s.Save(filepath.Join(t.TempDir(), name))
-		if err == nil || !strings.Contains(err.Error(), "unknown snapshot extension") {
-			t.Fatalf("%s: want unknown-extension error, got %v", name, err)
+		if err == nil || !strings.Contains(err.Error(), "unknown snapshot extension (want .jsonl, .jsonl.gz or a .d directory)") {
+			t.Fatalf("%s: want unknown-extension error naming the accepted forms, got %v", name, err)
 		}
 	}
 	// The old substring sniff accepted things like "x.jsonl.bak"; explicit
@@ -49,15 +55,20 @@ func TestSaveRejectsUnknownExtension(t *testing.T) {
 }
 
 func TestLoadRejectsUnknownExtension(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "snap.csv")); err == nil ||
-		!strings.Contains(err.Error(), "unknown snapshot extension") {
-		t.Fatalf("want unknown-extension error, got %v", err)
+	for _, name := range []string{"snap.csv", "snap.gob", "snap.gob.gz"} {
+		if _, err := Load(filepath.Join(t.TempDir(), name)); err == nil ||
+			!strings.Contains(err.Error(), "unknown snapshot extension") {
+			t.Fatalf("%s: want unknown-extension error, got %v", name, err)
+		}
+		if err := CheckSnapshotPath(name); err == nil || !strings.Contains(err.Error(), ".jsonl.gz") {
+			t.Fatalf("%s: CheckSnapshotPath should reject it and name the accepted forms, got %v", name, err)
+		}
 	}
 }
 
 func TestSaveWritesManifestSidecar(t *testing.T) {
 	s := persistSnapshot()
-	for _, name := range []string{"snap.gob", "snap.gob.gz", "snap.jsonl", "snap.jsonl.gz"} {
+	for _, name := range []string{"snap.jsonl", "snap.jsonl.gz"} {
 		path := filepath.Join(t.TempDir(), name)
 		if err := s.Save(path); err != nil {
 			t.Fatal(err)
@@ -91,14 +102,15 @@ func TestSaveWritesManifestSidecar(t *testing.T) {
 }
 
 // The section checksums are canonical: the same snapshot saved in every
-// container format carries identical per-section CRCs.
+// layout — plain, compressed, sharded — carries identical per-section
+// CRCs.
 func TestManifestSectionChecksumsFormatIndependent(t *testing.T) {
 	s := persistSnapshot()
 	dir := t.TempDir()
 	var ref map[string]SectionSum
-	for _, name := range []string{"a.gob", "b.gob.gz", "c.jsonl", "d.jsonl.gz"} {
+	for _, name := range []string{"a.jsonl", "b.jsonl.gz", "c.d"} {
 		path := filepath.Join(dir, name)
-		if err := s.Save(path); err != nil {
+		if err := s.Save(path, WithShardRecords(6)); err != nil {
 			t.Fatal(err)
 		}
 		man, err := ReadManifest(path)
@@ -126,7 +138,7 @@ func TestSaveCrashpointsNeverExposeTornState(t *testing.T) {
 
 	for _, stage := range []string{"temp-written", "manifest-retired", "data-renamed"} {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "snap.gob")
+		path := filepath.Join(dir, "snap.jsonl.gz")
 		saveCrashHook = nil
 		if err := s1.Save(path); err != nil {
 			t.Fatal(err)
@@ -174,7 +186,7 @@ func TestSaveAbortLeavesNoTempLitter(t *testing.T) {
 	defer func() { saveCrashHook = nil }()
 	injected := errors.New("simulated crash")
 	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.gob.gz")
+	path := filepath.Join(dir, "snap.jsonl.gz")
 	saveCrashHook = func(string) error { return injected }
 	if err := persistSnapshot().Save(path); !errors.Is(err, injected) {
 		t.Fatalf("want injected error, got %v", err)
@@ -195,7 +207,7 @@ func TestSaveAbortLeavesNoTempLitter(t *testing.T) {
 }
 
 func TestLoadDetectsTruncatedGzip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.gob.gz")
+	path := filepath.Join(t.TempDir(), "snap.jsonl.gz")
 	s := persistSnapshot()
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
@@ -221,8 +233,8 @@ func TestLoadDetectsTruncatedGzip(t *testing.T) {
 	}
 }
 
-func TestLoadDetectsBitFlippedGob(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.gob")
+func TestLoadDetectsBitFlippedGzip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.jsonl.gz")
 	s := persistSnapshot()
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
@@ -236,7 +248,7 @@ func TestLoadDetectsBitFlippedGob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Load(path); err == nil {
-		t.Fatal("bit-flipped gob loaded without error")
+		t.Fatal("bit-flipped snapshot loaded without error")
 	}
 	// fsck names what failed instead of stopping at the first error.
 	rep, err := FsckFile(path, nil)
@@ -244,7 +256,7 @@ func TestLoadDetectsBitFlippedGob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Clean() {
-		t.Fatal("fsck of bit-flipped gob reported clean")
+		t.Fatal("fsck of bit-flipped snapshot reported clean")
 	}
 	if rep.Counts[ViolationFileHash] == 0 {
 		t.Fatalf("fsck missed the raw-byte damage:\n%s", rep)
@@ -334,10 +346,105 @@ func TestLoadReportsJSONLLineNumbers(t *testing.T) {
 	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("want line-2 missing-payload error, got %v", err)
 	}
+
+	// Deep in a real snapshot: the damaged line opens, ends or sits inside
+	// a decode chunk, or lands two thirds of the way in.
+	raw := saveJSONL(t, testSnapshot(t))
+	lines := bytes.Split(raw, []byte{'\n'})
+	for _, badAt := range badLineIndexes(len(lines)) {
+		path := filepath.Join(dir, fmt.Sprintf("deep-%d.jsonl", badAt))
+		if err := os.WriteFile(path, withLine(lines, badAt, `{"kind":"mystery"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("line %d: unknown record kind \"mystery\"", badAt+1)
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("bad line %d: want %q, got %v", badAt+1, want, err)
+		}
+	}
+}
+
+// badLineIndexes returns 0-based line indexes at and around decode chunk
+// boundaries, plus one two thirds of the way into an n-line file.
+func badLineIndexes(n int) []int {
+	return []int{1, jsonlChunk - 1, jsonlChunk, jsonlChunk + 1, 3*jsonlChunk + 17, n * 2 / 3}
+}
+
+// withLine returns the lines joined back into a file with line i replaced.
+func withLine(lines [][]byte, i int, line string) []byte {
+	out := slices.Clone(lines)
+	out[i] = []byte(line)
+	return bytes.Join(out, []byte{'\n'})
+}
+
+// FsckFile on a single file with a decode error reports the decode
+// violation and the shape of every record before the damaged line — the
+// tolerant Reader keeps the readable prefix — and runs no referential
+// checks on a partial snapshot.
+func TestFsckFilePartialShape(t *testing.T) {
+	s := testSnapshot(t)
+	raw := saveJSONL(t, s)
+	lines := bytes.Split(raw, []byte{'\n'})
+	dir := t.TempDir()
+	for _, badAt := range badLineIndexes(len(lines)) {
+		path := filepath.Join(dir, fmt.Sprintf("bad-%d.jsonl", badAt))
+		if err := os.WriteFile(path, withLine(lines, badAt, `{"kind":"mystery"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Line 0 is the header; games, users and groups follow in order.
+		before := badAt - 1
+		games := min(before, len(s.Games))
+		users := min(before-games, len(s.Users))
+		groups := before - games - users
+		rep, err := FsckFile(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Games != games || rep.Users != users || rep.Groups != groups {
+			t.Fatalf("bad line %d: shape %d/%d/%d games/users/groups, want %d/%d/%d",
+				badAt+1, rep.Games, rep.Users, rep.Groups, games, users, groups)
+		}
+		want := fmt.Sprintf("line %d: unknown record kind", badAt+1)
+		if rep.Counts[ViolationDecode] != 1 || !strings.Contains(rep.Samples[ViolationDecode][0], want) {
+			t.Fatalf("bad line %d: want one decode violation naming it, got\n%s", badAt+1, rep)
+		}
+		if rep.RecordsVerified != 0 {
+			t.Fatalf("bad line %d: referential checks ran on a partial snapshot", badAt+1)
+		}
+	}
+
+	// A truncated .jsonl.gz fails with a read error mid-line; the shape is
+	// every complete line the gzip stream yielded before it.
+	gzPath := filepath.Join(dir, "cut.jsonl.gz")
+	if err := s.Save(gzPath); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(gzPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gzPath, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(b[:len(b)/2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, _ := io.ReadAll(zr) // the error is the truncation itself
+	complete := bytes.Count(prefix, []byte{'\n'}) - 1
+	rep, err := FsckFile(gzPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Games + rep.Users + rep.Groups; got != complete || complete < jsonlChunk {
+		t.Fatalf("truncated gzip: %d records reported, want the %d complete lines before the cut", got, complete)
+	}
+	if rep.Counts[ViolationDecode] != 1 || !strings.Contains(rep.Samples[ViolationDecode][0], "unexpected EOF") {
+		t.Fatalf("truncated gzip: want one decode violation for the cut, got\n%s", rep)
+	}
 }
 
 func TestLoadCorruptManifestIsError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.gob")
+	path := filepath.Join(t.TempDir(), "snap.jsonl")
 	if err := persistSnapshot().Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +457,7 @@ func TestLoadCorruptManifestIsError(t *testing.T) {
 }
 
 func TestLoadRefusesNewerFormatVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.gob")
+	path := filepath.Join(t.TempDir(), "snap.jsonl")
 	if err := persistSnapshot().Save(path); err != nil {
 		t.Fatal(err)
 	}

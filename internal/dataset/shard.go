@@ -81,22 +81,29 @@ func pathSharded(path string) bool {
 }
 
 // snapshotPath classifies a snapshot path: the sharded directory layout
-// (".d" suffix), or a single file by extension. A path that names a
-// segment file inside a sharded directory is rejected with
-// ErrShardSegment so the mistake is caught before any work happens.
-func snapshotPath(path string) (encoding string, gzipped, sharded bool, err error) {
+// (".d" suffix), or a single ".jsonl" / ".jsonl.gz" file by explicit
+// suffix. Anything else is rejected up front with an error naming the
+// accepted forms, and a path that names a segment file inside a sharded
+// directory with ErrShardSegment, so the mistake is caught before any
+// work happens.
+func snapshotPath(path string) (gzipped, sharded bool, err error) {
 	clean := strings.TrimRight(path, "/")
 	if pathSharded(clean) {
-		return encJSONL, false, true, nil
+		return false, true, nil
 	}
 	if i := strings.LastIndexByte(clean, '/'); i >= 0 {
 		dir, base := clean[:i], clean[i+1:]
 		if pathSharded(dir) && shardSegmentRe.MatchString(base) {
-			return "", false, false, fmt.Errorf("dataset: %s: %w", path, ErrShardSegment)
+			return false, false, fmt.Errorf("dataset: %s: %w", path, ErrShardSegment)
 		}
 	}
-	encoding, gzipped, err = snapshotFormat(clean)
-	return encoding, gzipped, false, err
+	switch {
+	case strings.HasSuffix(clean, ".jsonl"):
+		return false, false, nil
+	case strings.HasSuffix(clean, ".jsonl.gz"):
+		return true, false, nil
+	}
+	return false, false, fmt.Errorf("dataset: %s: unknown snapshot extension (want .jsonl, .jsonl.gz or a .d directory)", clean)
 }
 
 // shardFileName returns the canonical segment file name for a section

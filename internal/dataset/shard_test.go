@@ -74,7 +74,7 @@ func TestShardedStreamMatchesSingleFileBytes(t *testing.T) {
 	tmp := t.TempDir()
 	single := filepath.Join(tmp, "snap.jsonl")
 	dir := filepath.Join(tmp, "snap.d")
-	if err := s.Save(single, WithWorkers(1)); err != nil {
+	if err := s.Save(single); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Save(dir, WithShardRecords(3)); err != nil {
@@ -105,29 +105,24 @@ func TestShardedStreamMatchesSingleFileBytes(t *testing.T) {
 }
 
 // TestShardedRoundTripMatrix is the layout-parity property test: every
-// container × worker-count combination must produce the same decoded
-// content (ContentSignature), and the JSONL-bearing layouts the same
-// stream hash.
+// layout × shard-size combination must produce the same decoded content
+// (ContentSignature), and the uncompressed layouts the same stream hash.
 func TestShardedRoundTripMatrix(t *testing.T) {
 	s := persistSnapshot()
 	wantSig := s.ContentSignature()
 	var jsonlSHA string
-	for _, name := range []string{"snap.gob", "snap.gob.gz", "snap.jsonl", "snap.jsonl.gz", "snap.d"} {
-		for _, workers := range []int{1, 2, 0} {
+	for _, name := range []string{"snap.jsonl", "snap.jsonl.gz", "snap.d"} {
+		for _, shard := range []int{1, 5, 0} {
 			path := filepath.Join(t.TempDir(), name)
-			opts := []Option{WithWorkers(workers)}
-			if strings.HasSuffix(name, ".d") {
-				opts = append(opts, WithShardRecords(5))
+			if err := s.Save(path, WithShardRecords(shard)); err != nil {
+				t.Fatalf("%s shard=%d: save: %v", name, shard, err)
 			}
-			if err := s.Save(path, opts...); err != nil {
-				t.Fatalf("%s workers=%d: save: %v", name, workers, err)
-			}
-			got, err := Load(path, WithWorkers(workers))
+			got, err := Load(path)
 			if err != nil {
-				t.Fatalf("%s workers=%d: load: %v", name, workers, err)
+				t.Fatalf("%s shard=%d: load: %v", name, shard, err)
 			}
 			if sig := got.ContentSignature(); sig != wantSig {
-				t.Fatalf("%s workers=%d: content signature %s, want %s", name, workers, sig, wantSig)
+				t.Fatalf("%s shard=%d: content signature %s, want %s", name, shard, sig, wantSig)
 			}
 			if name == "snap.jsonl" || name == "snap.d" {
 				man, err := ReadManifest(path)
@@ -137,7 +132,7 @@ func TestShardedRoundTripMatrix(t *testing.T) {
 				if jsonlSHA == "" {
 					jsonlSHA = man.FileSHA256
 				} else if man.FileSHA256 != jsonlSHA {
-					t.Fatalf("%s workers=%d: stream hash %s, want %s", name, workers, man.FileSHA256, jsonlSHA)
+					t.Fatalf("%s shard=%d: stream hash %s, want %s", name, shard, man.FileSHA256, jsonlSHA)
 				}
 			}
 		}
@@ -178,9 +173,14 @@ func TestWriterRejectsOutOfOrderSections(t *testing.T) {
 	}
 }
 
+// The retired gob container is an unknown extension to the Writer, and
+// the error names the accepted forms.
 func TestWriterRejectsGob(t *testing.T) {
-	if _, err := NewWriter(filepath.Join(t.TempDir(), "snap.gob"), 1); err == nil {
-		t.Fatal("gob writer accepted")
+	for _, name := range []string{"snap.gob", "snap.gob.gz"} {
+		_, err := NewWriter(filepath.Join(t.TempDir(), name), 1)
+		if err == nil || !strings.Contains(err.Error(), "want .jsonl, .jsonl.gz or a .d directory") {
+			t.Fatalf("%s: want unknown-extension error naming the accepted forms, got %v", name, err)
+		}
 	}
 }
 
@@ -190,29 +190,13 @@ func TestWriterSingleFileMatchesSave(t *testing.T) {
 		tmp := t.TempDir()
 		saved := filepath.Join(tmp, "saved-"+name)
 		streamed := filepath.Join(tmp, name)
-		if err := s.Save(saved, WithWorkers(1)); err != nil {
+		if err := s.Save(saved); err != nil {
 			t.Fatal(err)
 		}
-		w, err := NewWriter(streamed, s.CollectedAt)
-		if err != nil {
+		if err := drainIntoWriter(s, streamed); err != nil {
 			t.Fatal(err)
 		}
-		for i := range s.Games {
-			if err := w.WriteGame(&s.Games[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := range s.Users {
-			if err := w.WriteUser(&s.Users[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := range s.Groups {
-			if err := w.WriteGroup(&s.Groups[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		man, err := w.Close()
+		man, err := ReadManifest(streamed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,12 +10,12 @@
 // algorithms (streaming fsck, the Table 4 extraction) open a section
 // several times instead of decoding the snapshot once into memory.
 //
-// Byte identity: Writer's single-record encode path uses the same
-// append-style codec as Save, so a Writer-produced single file is
-// byte-identical to Save of the equivalent snapshot, and a sharded
-// directory's concatenated segments are byte-identical to that same
-// single file. The manifests agree on every section checksum and on
-// FileSHA256.
+// These are the only snapshot code path: Save drains a Snapshot into a
+// Writer, Load collects one from a Reader, and fsck scans sections
+// through the same Reader (fsckstream.go). Byte identity: a sharded
+// directory's concatenated segments are byte-identical to the single
+// ".jsonl" file holding the same records, and the manifests agree on
+// every section checksum and on FileSHA256.
 
 package dataset
 
@@ -63,13 +63,9 @@ var writerSections = [3]string{sectionGames, sectionUsers, sectionGroups}
 // record being written. Records must arrive in section order (games, then
 // users, then groups); a section may be empty. Close finalizes the data,
 // builds the manifest from the accumulated checksums, and publishes both
-// with the same atomic temp→fsync→rename protocol as Save. On error (or
+// with the atomic temp→fsync→rename protocol Save documents. On error (or
 // if Close is never reached) Abort discards the temporaries, leaving any
 // previous snapshot at path untouched.
-//
-// The gob container is not supported: gob encodes the whole Snapshot
-// value in one shot, which is exactly what a streaming writer exists to
-// avoid.
 type Writer struct {
 	path        string
 	collectedAt int64
@@ -77,7 +73,7 @@ type Writer struct {
 	sharded     bool
 	gzipped     bool
 
-	// Single-file plumbing, mirroring Save's stack.
+	// Single-file plumbing.
 	f   *os.File
 	tmp string
 	cw  *countingWriter
@@ -99,7 +95,7 @@ type Writer struct {
 	total   int64 // bytes of the (uncompressed, concatenated) stream
 	section int   // index into writerSections of the section being written
 	crc     [3]canon
-	counts  [3]int
+	prog    sectionProgress // per-section record counts
 	buf     []byte
 	err     error
 	closed  bool
@@ -108,17 +104,12 @@ type Writer struct {
 // NewWriter opens a streaming snapshot writer for path, stamping
 // collectedAt into the header line. Options: WithShardRecords sets the
 // fixed per-segment record count for the sharded layout (ignored for
-// single files); WithProgress reports per-section record counts as
-// segments complete. WithWorkers is accepted for pipeline uniformity —
-// the per-record encode is inherently serial.
+// single files); WithProgress reports per-section encoded record counts.
 func NewWriter(path string, collectedAt int64, opts ...Option) (*Writer, error) {
 	o := buildOptions(opts)
-	encoding, gzipped, sharded, err := snapshotPath(path)
+	gzipped, sharded, err := snapshotPath(path)
 	if err != nil {
 		return nil, err
-	}
-	if encoding != encJSONL {
-		return nil, fmt.Errorf("dataset: %s: the streaming writer requires a JSONL container (.jsonl, .jsonl.gz or a .d directory)", path)
 	}
 	w := &Writer{
 		path:        path,
@@ -127,9 +118,10 @@ func NewWriter(path string, collectedAt int64, opts ...Option) (*Writer, error) 
 		sharded:     sharded,
 		gzipped:     gzipped,
 		sha:         sha256.New(),
+		prog:        sectionProgress{fn: o.progress},
 	}
 	for i := range w.crc {
-		w.crc[i] = canon{h: crc32.New(castagnoli)}
+		w.crc[i] = newCanon()
 	}
 	dir := filepath.Dir(path)
 	if sharded {
@@ -237,13 +229,13 @@ func (w *Writer) write(sec int, enc func([]byte) ([]byte, error), sum func(*cano
 	b, err := enc(w.buf[:0])
 	w.buf = b
 	if err != nil {
-		return w.fail(err)
+		return w.fail(fmt.Errorf("dataset: encoding %s: %w", w.path, err))
 	}
 	sum(&w.crc[sec])
-	w.counts[sec]++
+	w.prog.add(sec)
 	if !w.sharded {
 		// The single-file sha is fed post-compression through the counting
-		// writer, exactly as Save feeds it.
+		// writer.
 		if _, err := w.bw.Write(b); err != nil {
 			return w.fail(fmt.Errorf("dataset: writing %s: %w", w.path, err))
 		}
@@ -307,9 +299,6 @@ func (w *Writer) finishSegment() error {
 		File: name, Section: writerSections[w.section], Records: w.segRecords,
 		Bytes: w.segBytes, CRC32C: w.segCRC.Sum32(),
 	})
-	if w.o.progress != nil {
-		w.o.progress(writerSections[w.section], w.counts[w.section])
-	}
 	w.segIdx++
 	return nil
 }
@@ -359,9 +348,9 @@ func (w *Writer) manifest() *Manifest {
 		FileBytes:     w.total,
 		FileSHA256:    hex.EncodeToString(w.sha.Sum(nil)),
 		Sections: map[string]SectionSum{
-			sectionGames:  {Records: w.counts[0], CRC32C: w.crc[0].h.Sum32()},
-			sectionUsers:  {Records: w.counts[1], CRC32C: w.crc[1].h.Sum32()},
-			sectionGroups: {Records: w.counts[2], CRC32C: w.crc[2].h.Sum32()},
+			sectionGames:  {Records: w.prog.counts[0], CRC32C: w.crc[0].h.Sum32()},
+			sectionUsers:  {Records: w.prog.counts[1], CRC32C: w.crc[1].h.Sum32()},
+			sectionGroups: {Records: w.prog.counts[2], CRC32C: w.crc[2].h.Sum32()},
 		},
 	}
 	if w.sharded {
@@ -374,9 +363,9 @@ func (w *Writer) manifest() *Manifest {
 
 // Close finishes the stream and publishes data + manifest atomically,
 // returning the manifest it wrote. For single files FileBytes/FileSHA256
-// cover the on-disk (post-compression) bytes, exactly as Save records
-// them; for sharded directories they cover the concatenated uncompressed
-// stream, which equals the single-file equivalent's values.
+// cover the on-disk (post-compression) bytes; for sharded directories
+// they cover the concatenated uncompressed stream, which equals the
+// single-file equivalent's values.
 func (w *Writer) Close() (*Manifest, error) {
 	if w.err != nil {
 		w.Abort()
@@ -390,6 +379,7 @@ func (w *Writer) Close() (*Manifest, error) {
 		w.Abort()
 		return nil, err
 	}
+	w.prog.end(len(writerSections))
 	man := w.manifest()
 	if err := w.publish(man); err != nil {
 		w.fail(err)
@@ -431,7 +421,7 @@ func (w *Writer) closeData() error {
 	return nil
 }
 
-// publish runs Save's atomic publication protocol for either layout. For
+// publish runs the atomic publication protocol for either layout. For
 // the directory layout the old directory (if any) is renamed aside before
 // the new one renames in; the window where neither is at path is the cost
 // of POSIX's lack of an atomic directory swap and is documented in
@@ -504,6 +494,10 @@ func (w *Writer) publish(man *Manifest) (err error) {
 // When a sharded directory carries a manifest, every fully read segment
 // is verified against its recorded byte count and CRC-32C; a mismatch
 // surfaces as an error from Next naming the damaged segment.
+//
+// A decode or read error first yields every record of its chunk that
+// precedes the failing line, then surfaces from Next; records read so
+// far are thus the file's longest readable prefix, which fsck reports.
 type Reader struct {
 	path    string
 	sharded bool
@@ -530,19 +524,21 @@ type Reader struct {
 	eof        bool
 	err        error
 	verifySegs bool
-	// deferredErr is a decode error whose chunk yielded some records;
-	// those stay consumable (matching the partial results the in-memory
-	// decoder keeps for fsck) and the error surfaces once they drain.
+	// deferredErr is a decode or read error whose chunk yielded some
+	// records; those stay consumable and the error surfaces once they
+	// drain.
 	deferredErr error
+	prog        sectionProgress
 }
 
 // OpenReader opens a streaming reader over every record in the snapshot
-// at path (single JSONL file or sharded directory; gob is not streamable
-// and is rejected). The header is consumed internally — CollectedAt is
-// available once the first record (or end of stream) has been reached;
-// for sharded layouts it is read eagerly at open.
+// at path (single JSONL file or sharded directory). The header is
+// consumed internally — CollectedAt is available once the first record
+// (or end of stream) has been reached; for sharded layouts it is read
+// eagerly at open. Options: WithProgress reports per-section decoded
+// record counts.
 func OpenReader(path string, opts ...Option) (*Reader, error) {
-	return openReader(path, 0, true, opts)
+	return openReader(path, 0, true, buildOptions(opts))
 }
 
 // Exported section names for OpenSection.
@@ -555,68 +551,62 @@ const (
 // OpenSection opens a streaming reader over one section ("games",
 // "users" or "groups") of the snapshot at path. Multi-pass algorithms
 // call this repeatedly; for sharded directories each pass touches only
-// that section's segments.
+// that section's segments. Options: WithProgress reports the section's
+// decoded record count.
 func OpenSection(path, section string, opts ...Option) (*Reader, error) {
-	var filter byte
-	switch section {
-	case sectionGames:
-		filter = 'g'
-	case sectionUsers:
-		filter = 'u'
-	case sectionGroups:
-		filter = 'p'
-	default:
+	filter := sectionFilter(section)
+	if filter == 0 {
 		return nil, fmt.Errorf("dataset: unknown snapshot section %q", section)
 	}
-	return openReader(path, filter, true, opts)
+	return openReader(path, filter, true, buildOptions(opts))
 }
 
-// openSectionRaw is OpenSection for the accumulate-everything fsck path:
-// per-segment checksum mismatches, a corrupt manifest or a too-new format
-// version do not stop the scan — the structural pass has already recorded
-// them, and fsck still wants every decodable record.
-func openSectionRaw(path, section string) (*Reader, error) {
-	var filter byte
+// sectionFilter maps a section name to its decoded-line kind, 0 if
+// unknown.
+func sectionFilter(section string) byte {
 	switch section {
 	case sectionGames:
-		filter = 'g'
+		return 'g'
 	case sectionUsers:
-		filter = 'u'
+		return 'u'
 	case sectionGroups:
-		filter = 'p'
+		return 'p'
 	}
-	return openReader(path, filter, false, nil)
+	return 0
 }
 
-func openReader(path string, filter byte, verify bool, opts []Option) (*Reader, error) {
-	_ = buildOptions(opts) // options accepted for pipeline uniformity
-	encoding, gzipped, sharded, err := snapshotPath(path)
+// openReader opens a reader over the sections filter selects (0 = every
+// section). With verify off — fsck's accumulate-everything mode — a
+// corrupt manifest, a too-new format version or a per-segment checksum
+// mismatch does not stop the read: fsck's structural pass has already
+// recorded them, and it still wants every decodable record.
+func openReader(path string, filter byte, verify bool, o options) (*Reader, error) {
+	gzipped, sharded, err := snapshotPath(path)
 	if err != nil {
 		return nil, err
 	}
-	if encoding != encJSONL {
-		return nil, fmt.Errorf("dataset: %s: the streaming reader requires a JSONL container (.jsonl, .jsonl.gz or a .d directory)", path)
-	}
 	r := &Reader{path: path, sharded: sharded, gzipped: gzipped, filter: filter}
+	r.prog.fn = o.progress
+	if fn := o.progress; fn != nil && filter != 0 {
+		only := sectionName(filter)
+		r.prog.fn = func(section string, records int) {
+			if section == only {
+				fn(section, records)
+			}
+		}
+	}
 	if !sharded {
 		if err := r.openFile(path, gzipped); err != nil {
 			return nil, err
 		}
 		return r, nil
 	}
-	man, err := ReadManifest(path)
+	man, err := checkedManifest(path, SnapshotShardFormatVersion)
 	if err != nil {
 		if verify {
 			return nil, err
 		}
 		man = nil // fsck recorded the manifest violation; scan by directory
-	}
-	if man != nil && man.FormatVersion > SnapshotShardFormatVersion {
-		if verify {
-			return nil, fmt.Errorf("dataset: %s: manifest format version %d is newer than this build supports (%d)",
-				path, man.FormatVersion, SnapshotShardFormatVersion)
-		}
-		man = nil
 	}
 	r.man = man
 	r.verifySegs = verify
@@ -728,31 +718,26 @@ func (r *Reader) Next(rec *Record) (bool, error) {
 		for r.pi < len(r.pending) {
 			d := &r.pending[r.pi]
 			r.pi++
-			switch d.kind {
-			case 'h':
+			if d.kind == 'h' {
 				r.collectedAt = d.collectedAt
 				continue
-			case 'g':
-				if r.filter != 0 && r.filter != 'g' {
-					continue
-				}
-				rec.Kind, rec.Game = KindGame, d.game
-				return true, nil
-			case 'u':
-				if r.filter != 0 && r.filter != 'u' {
-					continue
-				}
-				rec.Kind, rec.User = KindUser, d.user
-				return true, nil
-			case 'p':
-				if r.filter != 0 && r.filter != 'p' {
-					continue
-				}
-				rec.Kind, rec.Group = KindGroup, d.group
-				return true, nil
 			}
+			if r.filter != 0 && r.filter != d.kind {
+				continue
+			}
+			switch d.kind {
+			case 'g':
+				rec.Kind, rec.Game = KindGame, d.game
+			case 'u':
+				rec.Kind, rec.User = KindUser, d.user
+			case 'p':
+				rec.Kind, rec.Group = KindGroup, d.group
+			}
+			r.prog.add(int(rec.Kind) - 1) // kinds number writerSections from 1
+			return true, nil
 		}
 		if r.eof {
+			r.prog.end(len(writerSections))
 			if r.deferredErr != nil {
 				r.err = r.deferredErr
 				return false, r.err
@@ -760,8 +745,59 @@ func (r *Reader) Next(rec *Record) (bool, error) {
 			return false, nil
 		}
 		if err := r.fill(); err != nil {
+			r.prog.end(len(writerSections))
 			r.err = err
 			return false, err
+		}
+	}
+}
+
+// collect drains the reader into a Snapshot. On error the snapshot holds
+// every record read before it, so fsck can still describe a partially
+// readable file.
+func (r *Reader) collect() (*Snapshot, error) {
+	s := &Snapshot{}
+	var rec Record
+	for {
+		ok, err := r.Next(&rec)
+		if err != nil || !ok {
+			s.CollectedAt = r.CollectedAt()
+			return s, err
+		}
+		switch rec.Kind {
+		case KindGame:
+			s.Games = append(s.Games, rec.Game)
+		case KindUser:
+			s.Users = append(s.Users, rec.User)
+		case KindGroup:
+			s.Groups = append(s.Groups, rec.Group)
+		}
+	}
+}
+
+// sectionProgress counts one stream's records per section (indexed like
+// writerSections) and reports them to fn, when set: every jsonlChunk
+// records, and each section's final count once the stream moves past it.
+type sectionProgress struct {
+	fn     ProgressFunc
+	counts [3]int
+	at     int // sections before at have reported their final count
+}
+
+func (p *sectionProgress) add(sec int) {
+	p.end(sec)
+	p.counts[sec]++
+	if p.fn != nil && p.counts[sec]%jsonlChunk == 0 {
+		p.fn(writerSections[sec], p.counts[sec])
+	}
+}
+
+// end reports the final count of every section before sec not yet
+// reported.
+func (p *sectionProgress) end(sec int) {
+	for ; p.at < sec; p.at++ {
+		if p.fn != nil {
+			p.fn(writerSections[p.at], p.counts[p.at])
 		}
 	}
 }
@@ -805,6 +841,12 @@ func (r *Reader) fill() error {
 		}
 		r.lineNo++
 		raw, err := r.br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			// Decode the lines already read; the error surfaces after them.
+			r.deferredErr = fmt.Errorf("dataset: decoding %s: line %d: %w", r.curPath, r.lineNo, err)
+			r.eof = true
+			break
+		}
 		if len(raw) > 0 {
 			if r.segCRC != nil {
 				r.segCRC.Write(raw)
@@ -834,17 +876,13 @@ func (r *Reader) fill() error {
 				r.eof = true
 				break
 			}
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("dataset: decoding %s: line %d: %w", r.curPath, r.lineNo, err)
 		}
 	}
 	if len(r.lines) == 0 {
 		return nil
 	}
-	dc := decodeChunk(r.lines)
-	r.pending = append(r.pending, dc.recs...)
+	dc := decodeChunk(r.lines, r.pending)
+	r.pending = dc.recs
 	if dc.err != nil {
 		r.deferredErr = fmt.Errorf("dataset: decoding %s: line %d: %w", r.curPath, dc.errLine, dc.err)
 		r.eof = true
@@ -899,86 +937,3 @@ func (r *Reader) finishSegmentRead() error {
 	}
 	return nil
 }
-
-// --- sharded Save / Load ------------------------------------------------
-
-// saveSharded streams an in-memory snapshot through the Writer into a
-// sharded directory. The per-record encode is serial (the Writer owns the
-// hash state); at the scales where encode throughput matters the caller
-// should be emitting records through the Writer directly instead of
-// materializing a Snapshot first.
-func (s *Snapshot) saveSharded(path string, opts []Option) error {
-	w, err := NewWriter(path, s.CollectedAt, opts...)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
-	for i := range s.Games {
-		if err := w.WriteGame(&s.Games[i]); err != nil {
-			return err
-		}
-	}
-	for i := range s.Users {
-		if err := w.WriteUser(&s.Users[i]); err != nil {
-			return err
-		}
-	}
-	for i := range s.Groups {
-		if err := w.WriteGroup(&s.Groups[i]); err != nil {
-			return err
-		}
-	}
-	_, err = w.Close()
-	return err
-}
-
-// loadSharded reads a sharded directory into memory, verifying per-shard
-// checksums while streaming and the section checksums + whole-stream hash
-// once decoded, with the same damage localization as single-file Load.
-func loadSharded(path string, o options) (*Snapshot, error) {
-	r, err := OpenReader(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	s := &Snapshot{}
-	var rec Record
-	for {
-		ok, err := r.Next(&rec)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		switch rec.Kind {
-		case KindGame:
-			s.Games = append(s.Games, rec.Game)
-		case KindUser:
-			s.Users = append(s.Users, rec.User)
-		case KindGroup:
-			s.Groups = append(s.Groups, rec.Group)
-		}
-		if o.progress != nil && (len(s.Users)+len(s.Games)+len(s.Groups))%jsonlChunk == 0 {
-			o.progress(sectionGames, len(s.Games))
-			o.progress(sectionUsers, len(s.Users))
-			o.progress(sectionGroups, len(s.Groups))
-		}
-	}
-	s.CollectedAt = r.CollectedAt()
-	if o.progress != nil {
-		o.progress(sectionGames, len(s.Games))
-		o.progress(sectionUsers, len(s.Users))
-		o.progress(sectionGroups, len(s.Groups))
-	}
-	if man := r.Manifest(); man != nil {
-		if v := man.verifySections(s); len(v) > 0 {
-			return nil, fmt.Errorf("dataset: %s: %s", path, v[0].Detail)
-		}
-		if got := r.FileSHA256(); got != man.FileSHA256 {
-			return nil, fmt.Errorf("dataset: %s stream hash mismatch (got %s, manifest %s): on-disk corruption", path, got, man.FileSHA256)
-		}
-	}
-	return s, nil
-}
-

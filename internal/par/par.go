@@ -76,8 +76,8 @@ func Run(workers int, fns ...func()) {
 	For(workers, len(fns), func(i int) { fns[i]() })
 }
 
-// Ordered is the bounded ordered pipeline behind the chunked snapshot
-// codec: produce(i) runs for every i in [0, n) on at most N(workers)
+// Ordered is the bounded ordered pipeline behind the crawler's tail-phase
+// fan-out: produce(i) runs for every i in [0, n) on at most N(workers)
 // goroutines, while consume(i, v) is called from the caller's goroutine
 // in strict index order — never concurrently, never out of order. At
 // most 2*workers productions are in flight, so memory stays bounded no

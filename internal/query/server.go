@@ -23,8 +23,9 @@ type Config struct {
 	// publishing a new snapshot is: save it over the path (dataset.Save is
 	// atomic), then SIGHUP or POST /v1/admin/reload.
 	SnapshotPath string
-	// Workers bounds the snapshot-decode and analysis worker pools
-	// (0 = one per CPU, 1 = serial), exactly like the other binaries.
+	// Workers bounds the analysis worker pool (0 = one per CPU, 1 =
+	// serial), exactly like the other binaries; the snapshot decode is a
+	// single streaming pass.
 	Workers int
 	// CacheEntries caps the result cache's resident entries (split across
 	// shards). 0 means DefCacheEntries; negative means unbounded.
@@ -215,7 +216,7 @@ func Open(cfg Config) (*Server, error) {
 func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	snap, err := dataset.Load(s.cfg.SnapshotPath, dataset.WithWorkers(s.cfg.Workers))
+	snap, err := dataset.Load(s.cfg.SnapshotPath)
 	if err != nil {
 		s.metrics.ReloadFailures.Inc()
 		return err

@@ -47,8 +47,8 @@ func New(opts Options) (*Study, error) { return core.New(opts) }
 func FromSnapshot(snap *dataset.Snapshot) *Study { return core.FromSnapshot(snap) }
 
 // LoadSnapshot reads a snapshot saved by SaveSnapshot or the crawler
-// tools and wraps it in a Study. Options tune the snapshot codec (for
-// example dataset.WithWorkers); the decoded study is identical for any.
+// tools and wraps it in a Study. Options observe the snapshot decode (for
+// example dataset.WithProgress); the decoded study is identical for any.
 func LoadSnapshot(path string, opts ...dataset.Option) (*Study, error) {
 	return core.LoadSnapshot(path, opts...)
 }

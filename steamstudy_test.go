@@ -107,7 +107,7 @@ func TestRunAllOutputsEveryHeader(t *testing.T) {
 
 func TestSnapshotRoundTripThroughDisk(t *testing.T) {
 	s := sharedStudy(t)
-	path := filepath.Join(t.TempDir(), "snap.gob.gz")
+	path := filepath.Join(t.TempDir(), "snap.jsonl.gz")
 	if err := s.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestServeAndCrawlEndToEnd(t *testing.T) {
 
 func TestRunAllSkipsGeneratorExperimentsOnSnapshotStudy(t *testing.T) {
 	s := sharedStudy(t)
-	path := filepath.Join(t.TempDir(), "snap.gob")
+	path := filepath.Join(t.TempDir(), "snap.jsonl")
 	if err := s.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
