@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify chaos crash fleetchaos fsck bench scalebench querybench querychaos profile fmt vet
+.PHONY: build test race verify chaos crash fleetchaos fsck fuzz bench scalebench querybench querychaos profile fmt vet
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,19 @@ fleetchaos:
 fsck:
 	$(GO) run ./cmd/steamstudy -fsck -snapshot internal/dataset/testdata/example.snap.jsonl
 
+# fuzz runs every native fuzz target (func Fuzz*) in the module for
+# FUZZTIME each, on top of its committed seed corpus under
+# testdata/fuzz/. It is not part of verify: plain `go test` already
+# replays the seed corpus, and a fuzzing budget belongs outside tier-1.
+FUZZTIME ?= 30s
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz: $$pkg $$target ($(FUZZTIME))"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit 1; \
+		done; \
+	done
+
 # bench refreshes the repo's performance trajectory files. Each suite
 # runs once at GOMAXPROCS=1 and once with every core (benchjson skips the
 # second pass on single-CPU hosts), and every recorded result carries the
@@ -68,7 +81,8 @@ fsck:
 #   BENCH_datapath.json — the data plane at 500k-user scale (generate
 #     at workers=1 vs workers=max; Save and Load through a temp file,
 #     Snapshot.Fsck) plus the hand-rolled JSONL codec against
-#     encoding/json.
+#     encoding/json. Each row is the median of 5 runs, with the min and
+#     max ns/op beside it.
 # scalebench is the out-of-core proof (DESIGN.md §16), two parts:
 #   1. the scale-tagged byte-identity harness — at 500k users the
 #      streamed encode must match the in-memory Save byte for byte, the
@@ -88,7 +102,7 @@ bench:
 	$(GO) run ./cmd/benchjson -out BENCH_analysis.json
 	$(GO) run ./cmd/benchjson -out BENCH_obs.json -pkg ./internal/obs \
 		-bench '^(BenchmarkCounterAdd|BenchmarkHistogramObserve|BenchmarkContended8)$$'
-	$(GO) run ./cmd/benchjson -out BENCH_datapath.json -pkg ./internal/dataset \
+	$(GO) run ./cmd/benchjson -count 5 -out BENCH_datapath.json -pkg ./internal/dataset \
 		-bench '^(BenchmarkDatapath|BenchmarkJSONL(Encode|Decode))'
 
 # querybench measures the read-side query service under load:

@@ -14,7 +14,12 @@
 // header records the host's CPU count. On a single-CPU host the two
 // passes coincide and only one is run. Every result also records the
 // child process's MaxRSS, so the trajectory files track memory as well
-// as time.
+// as time. With -count N every benchmark runs N times per pass; its row
+// then records the median ns/op (and median B/op and allocs/op) with the
+// min and max ns/op beside it, so one noisy iteration cannot pass for
+// the trajectory:
+//
+//	go run ./cmd/benchjson -count 5 -out BENCH_datapath.json -pkg ./internal/dataset -bench '^BenchmarkDatapath'
 //
 // With -scale it instead drives the out-of-core pipeline end to end —
 // sharded generate → fsck → streaming Table 4 as separate processes
@@ -35,6 +40,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"time"
 )
@@ -45,7 +51,10 @@ import (
 const tier2Pattern = "^(BenchmarkRunAllRender|BenchmarkHeavytailFit|BenchmarkTable4Classification|BenchmarkSpearman100k)$"
 
 // Result is one benchmark measurement. BytesPerOp and AllocsPerOp are
-// present only when the benchmark reports allocations. MaxRSSBytes is
+// present only when the benchmark reports allocations. A row of a
+// repeated run (-count N > 1) holds the median of its Runs runs in
+// Iterations, NsPerOp, BytesPerOp and AllocsPerOp, and the fastest and
+// slowest run in MinNsPerOp and MaxNsPerOp. MaxRSSBytes is
 // the peak resident set of the child process that produced the line —
 // for `go test -bench` runs that is the whole test binary pass (shared
 // by every result of the pass), for -scale stages it is the stage
@@ -57,6 +66,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
+	Runs        int     `json:"runs,omitempty"`
+	MinNsPerOp  float64 `json:"min_ns_per_op,omitempty"`
+	MaxNsPerOp  float64 `json:"max_ns_per_op,omitempty"`
 	MaxRSSBytes int64   `json:"max_rss_bytes,omitempty"`
 }
 
@@ -75,6 +87,7 @@ type File struct {
 	GoVersion   string   `json:"go_version"`
 	NumCPU      int      `json:"num_cpu"`
 	Gomaxprocs  []int    `json:"gomaxprocs_runs"`
+	Count       int      `json:"count,omitempty"`
 	Pattern     string   `json:"pattern,omitempty"`
 	Package     string   `json:"package,omitempty"`
 	Scale       *Scale   `json:"scale,omitempty"`
@@ -94,6 +107,7 @@ func main() {
 		out       = flag.String("out", "BENCH_analysis.json", "output JSON path")
 		pattern   = flag.String("bench", tier2Pattern, "benchmark regexp passed to -bench")
 		benchtime = flag.String("benchtime", "", "optional -benchtime (e.g. 3x, 2s)")
+		count     = flag.Int("count", 1, "runs of each benchmark per pass; above 1 each row records the median with min and max ns/op")
 		pkg       = flag.String("pkg", ".", "package containing the benchmarks")
 		scale     = flag.Bool("scale", false, "run the out-of-core scale pipeline (generate -> fsck -> streaming Table 4) instead of a benchmark suite")
 		users     = flag.Int("users", 5_000_000, "with -scale: population size")
@@ -110,8 +124,11 @@ func main() {
 		Pattern:     *pattern,
 		Package:     *pkg,
 	}
+	if *count > 1 {
+		f.Count = *count
+	}
 	if *scale {
-		f.Pattern, f.Package = "", ""
+		f.Pattern, f.Package, f.Count = "", "", 0
 		runScale(&f, *out, *users, *shardSize, *maxRSSMB, *workers)
 		return
 	}
@@ -126,6 +143,9 @@ func main() {
 		if *benchtime != "" {
 			args = append(args, "-benchtime", *benchtime)
 		}
+		if *count > 1 {
+			args = append(args, "-count", strconv.Itoa(*count))
+		}
 		cmd := exec.Command("go", args...)
 		cmd.Env = append(os.Environ(), "GOMAXPROCS="+strconv.Itoa(gmp))
 		cmd.Stderr = os.Stderr
@@ -133,7 +153,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("go %v (GOMAXPROCS=%d): %v", args, gmp, err)
 		}
-		results := parse(raw, gmp)
+		results := summarize(parse(raw, gmp))
 		// One test-binary pass produced every line, so they share its
 		// peak RSS.
 		rss := maxRSSBytes(cmd.ProcessState)
@@ -152,8 +172,12 @@ func main() {
 		if r.AllocsPerOp != nil {
 			alloc = fmt.Sprintf("  %8d B/op %6d allocs/op", *r.BytesPerOp, *r.AllocsPerOp)
 		}
-		fmt.Printf("  %-55s P=%-3d %14.0f ns/op%s  rss=%dMB\n",
-			r.Name, r.Gomaxprocs, r.NsPerOp, alloc, r.MaxRSSBytes>>20)
+		spread := ""
+		if r.Runs > 1 {
+			spread = fmt.Sprintf(" [%.0f..%.0f]", r.MinNsPerOp, r.MaxNsPerOp)
+		}
+		fmt.Printf("  %-55s P=%-3d %14.0f ns/op%s%s  rss=%dMB\n",
+			r.Name, r.Gomaxprocs, r.NsPerOp, spread, alloc, r.MaxRSSBytes>>20)
 	}
 }
 
@@ -206,4 +230,63 @@ func parse(raw []byte, ranGomaxprocs int) []Result {
 		out = append(out, r)
 	}
 	return out
+}
+
+// summarize folds the repeated runs of each benchmark (one pass, so one
+// GOMAXPROCS) into one row, in first-run order: the median of every
+// measured column, plus the min and max ns/op. A benchmark run once
+// passes through unchanged.
+func summarize(runs []Result) []Result {
+	var order []string
+	byName := map[string][]Result{}
+	for _, r := range runs {
+		if _, ok := byName[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := byName[name]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		row := rs[0]
+		row.Runs = len(rs)
+		ns := sorted(rs, func(r Result) float64 { return r.NsPerOp })
+		row.NsPerOp, row.MinNsPerOp, row.MaxNsPerOp = median(ns), ns[0], ns[len(ns)-1]
+		row.Iterations = int64(median(sorted(rs, func(r Result) float64 { return float64(r.Iterations) })))
+		allocs := true
+		for _, r := range rs {
+			allocs = allocs && r.AllocsPerOp != nil // parse sets B/op and allocs/op together
+		}
+		if allocs {
+			bpo := int64(median(sorted(rs, func(r Result) float64 { return float64(*r.BytesPerOp) })))
+			apo := int64(median(sorted(rs, func(r Result) float64 { return float64(*r.AllocsPerOp) })))
+			row.BytesPerOp, row.AllocsPerOp = &bpo, &apo
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// sorted returns one column of rs in ascending order.
+func sorted(rs []Result, get func(Result) float64) []float64 {
+	v := make([]float64, len(rs))
+	for i, r := range rs {
+		v[i] = get(r)
+	}
+	sort.Float64s(v)
+	return v
+}
+
+// median of sorted, non-empty v: the middle value, or the mean of the
+// two middle values.
+func median(v []float64) float64 {
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
 }

@@ -274,7 +274,7 @@ func readPartial(path string, o options) (*Snapshot, error) {
 		return &Snapshot{}, err
 	}
 	defer r.Close()
-	return r.collect()
+	return r.collect([3]int{})
 }
 
 func fsckRecordMetrics(r *Report, m *IntegrityMetrics) {

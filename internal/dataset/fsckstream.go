@@ -267,7 +267,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 
 	// Games: catalog census, duplicates, canonical checksum.
 	apps := make(map[uint32]bool, est(sectionGames))
-	c := newCanon()
+	var c canon
 	collectedAt, err := src(sectionGames, func(rec *Record) {
 		g := &rec.Game
 		if sum {
@@ -284,7 +284,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	if err != nil {
 		return st, err
 	}
-	st.sums[sectionGames] = SectionSum{Records: st.games, CRC32C: c.h.Sum32()}
+	st.sums[sectionGames] = SectionSum{Records: st.games, CRC32C: c.sum()}
 	st.sub.RecordsVerified += int64(st.games)
 
 	// Groups, pass 1: the memberOf index. gidIndex is last-wins like the
@@ -294,7 +294,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	gidIndex := make(map[uint64]int32, est(sectionGroups))
 	var members [][]uint64
 	groupSeen := make(map[uint64]bool, est(sectionGroups))
-	c = newCanon()
+	c = canon{}
 	_, err = src(sectionGroups, func(rec *Record) {
 		g := &rec.Group
 		if sum {
@@ -313,7 +313,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	if err != nil {
 		return st, err
 	}
-	st.sums[sectionGroups] = SectionSum{Records: st.groups, CRC32C: c.h.Sum32()}
+	st.sums[sectionGroups] = SectionSum{Records: st.groups, CRC32C: c.sum()}
 
 	// Users, one pass: the SteamID census and canonical checksum, every
 	// per-user check that needs no census (ownership, playtime,
@@ -328,7 +328,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 		pairs   []uint64 // packPair(stream position, group index)
 	)
 	owned := make(map[uint32]int32)
-	c = newCanon()
+	c = canon{}
 	_, err = src(sectionUsers, func(rec *Record) {
 		u := &rec.User
 		i := int32(st.users)
@@ -372,7 +372,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	if err != nil {
 		return st, err
 	}
-	st.sums[sectionUsers] = SectionSum{Records: st.users, CRC32C: c.h.Sum32()}
+	st.sums[sectionUsers] = SectionSum{Records: st.users, CRC32C: c.sum()}
 
 	// Census: duplicate IDs, and each record's canonical position (its
 	// ID's first occurrence), which stands in for the ID in every index —

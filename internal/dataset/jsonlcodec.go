@@ -268,20 +268,110 @@ func appendUint64s(b []byte, v []uint64) []byte {
 // city codes, game/group types, genres and developers are drawn from
 // small fixed vocabularies, so a 500k-user decode otherwise allocates
 // millions of copies of the same few hundred values; interning keeps one
-// instance per distinct value per decode chunk. Lookups convert []byte
-// keys without allocating (the compiler recognizes m[string(b)]).
+// instance per distinct value per Reader. Lookups convert []byte keys
+// without allocating (the compiler recognizes m[string(b)]). The table
+// starts over once it holds internMax values, so a high-cardinality
+// field cannot grow it without bound.
 type interner struct{ m map[string]string }
+
+const internMax = 4096
 
 func (in *interner) intern(b []byte) string {
 	if s, ok := in.m[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	if in.m == nil {
+	if in.m == nil || len(in.m) >= internMax {
 		in.m = make(map[string]string, 64)
 	}
 	in.m[s] = s
 	return s
+}
+
+// span locates one record's list (or name) in a chunkDecoder scratch
+// slice while its chunk decodes; lo < 0 marks a JSON null.
+type span struct{ lo, hi int }
+
+var nullSpan = span{lo: -1}
+
+// chunkDecoder holds one Reader's decode state. The fast path appends
+// every list item and name byte of a chunk to scratch slices that are
+// reused from chunk to chunk; carve then copies each scratch slice once
+// into a slab allocated for that chunk alone and hands every record its
+// part of it. Slabs are never reused, so a record a consumer keeps stays
+// valid however far the Reader advances.
+type chunkDecoder struct {
+	in      interner
+	friends []FriendRecord
+	owned   []OwnershipRecord
+	ids     []uint64 // user Groups and group Members
+	genres  []string
+	achs    []AchievementRecord
+	achName []span // achs[i].Name in text
+	text    []byte // game, group and achievement names
+}
+
+// scratchMark is the length of every scratch slice, so a line the fast
+// path gives up on part way can drop what it appended.
+type scratchMark [7]int
+
+func (d *chunkDecoder) mark() scratchMark {
+	return scratchMark{len(d.friends), len(d.owned), len(d.ids), len(d.genres), len(d.achs), len(d.achName), len(d.text)}
+}
+
+func (d *chunkDecoder) rewind(m scratchMark) {
+	d.friends, d.owned, d.ids, d.genres = d.friends[:m[0]], d.owned[:m[1]], d.ids[:m[2]], d.genres[:m[3]]
+	d.achs, d.achName, d.text = d.achs[:m[4]], d.achName[:m[5]], d.text[:m[6]]
+}
+
+// newSlab copies a scratch slice into a fresh slab. It is never nil, so
+// an empty list carved from it stays an empty, non-nil slice (which
+// re-encodes as [] rather than null).
+func newSlab[T any](scratch []T) []T {
+	s := make([]T, len(scratch))
+	copy(s, scratch)
+	return s
+}
+
+// carveList returns the list sp locates in slab, with cap == len so an
+// append by the consumer reallocates instead of overwriting the next
+// record's list.
+func carveList[T any](slab []T, sp span) []T {
+	if sp.lo < 0 {
+		return nil
+	}
+	return slab[sp.lo:sp.hi:sp.hi]
+}
+
+// carve moves the lists and names of the chunk's fast-decoded records
+// out of scratch into this chunk's slabs and resets the scratch.
+func (d *chunkDecoder) carve(recs []decodedLine) {
+	friends, owned, ids := newSlab(d.friends), newSlab(d.owned), newSlab(d.ids)
+	genres, achs := newSlab(d.genres), newSlab(d.achs)
+	text := string(d.text)
+	for i, sp := range d.achName {
+		achs[i].Name = text[sp.lo:sp.hi]
+	}
+	for i := range recs {
+		r := &recs[i]
+		if !r.fast {
+			continue
+		}
+		switch r.kind {
+		case 'g':
+			r.game.Name = text[r.name.lo:r.name.hi]
+			r.game.Genres = carveList(genres, r.lists[0])
+			r.game.Achievements = carveList(achs, r.lists[1])
+		case 'u':
+			r.user.Friends = carveList(friends, r.lists[0])
+			r.user.Games = carveList(owned, r.lists[1])
+			r.user.Groups = carveList(ids, r.lists[2])
+		case 'p':
+			r.group.Name = text[r.name.lo:r.name.hi]
+			r.group.Members = carveList(ids, r.lists[0])
+		}
+	}
+	d.rewind(scratchMark{})
 }
 
 // lineScanner is a strict cursor over one trimmed JSONL line. Every
@@ -290,7 +380,7 @@ func (in *interner) intern(b []byte) string {
 type lineScanner struct {
 	b   []byte
 	pos int
-	in  *interner
+	d   *chunkDecoder
 }
 
 func (p *lineScanner) lit(s string) bool {
@@ -303,96 +393,141 @@ func (p *lineScanner) lit(s string) bool {
 
 func (p *lineScanner) done() bool { return p.pos == len(p.b) }
 
-func (p *lineScanner) uint64v() (uint64, bool) {
+// digits consumes a run of ASCII digits and returns its value, which
+// only means something for runs short enough not to overflow, and length.
+func (p *lineScanner) digits() (uint64, int) {
 	start := p.pos
-	for p.pos < len(p.b) && p.b[p.pos] >= '0' && p.b[p.pos] <= '9' {
+	var v uint64
+	for p.pos < len(p.b) {
+		c := p.b[p.pos] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + uint64(c)
 		p.pos++
 	}
-	if p.pos == start {
+	return v, p.pos - start
+}
+
+// uint64v scans a canonical unsigned integer: a digit run with no
+// leading zero. Up to 19 digits cannot overflow and are accumulated
+// inline; a longer run goes through strconv, which rejects overflow.
+// Anything else — a leading zero, a sign, no digits — is not a JSON
+// integer the encoder wrote, and the line falls back to encoding/json.
+func (p *lineScanner) uint64v() (uint64, bool) {
+	start := p.pos
+	v, n := p.digits()
+	switch {
+	case n == 0 || (n > 1 && p.b[start] == '0'):
 		return 0, false
+	case n <= 19:
+		return v, true
 	}
 	v, err := strconv.ParseUint(string(p.b[start:p.pos]), 10, 64)
 	return v, err == nil
 }
 
+// int64v is uint64v with an optional minus sign; up to 18 digits are
+// accumulated inline.
 func (p *lineScanner) int64v() (int64, bool) {
+	start := p.pos
+	neg := p.pos < len(p.b) && p.b[p.pos] == '-'
+	if neg {
+		p.pos++
+	}
+	first := p.pos
+	v, n := p.digits()
+	switch {
+	case n == 0 || (n > 1 && p.b[first] == '0'):
+		return 0, false
+	case n <= 18:
+		if neg {
+			return -int64(v), true
+		}
+		return int64(v), true
+	}
+	x, err := strconv.ParseInt(string(p.b[start:p.pos]), 10, 64)
+	return x, err == nil
+}
+
+// float64v scans a token of JSON's number grammar —
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — and converts it with
+// strconv, as encoding/json does. A token outside the grammar ("+5",
+// ".5", "5.", "01") is not canonical.
+func (p *lineScanner) float64v() (float64, bool) {
 	start := p.pos
 	if p.pos < len(p.b) && p.b[p.pos] == '-' {
 		p.pos++
 	}
-	for p.pos < len(p.b) && p.b[p.pos] >= '0' && p.b[p.pos] <= '9' {
+	first := p.pos
+	if _, n := p.digits(); n == 0 || (n > 1 && p.b[first] == '0') {
+		return 0, false
+	}
+	if p.pos < len(p.b) && p.b[p.pos] == '.' {
 		p.pos++
-	}
-	if p.pos == start || (p.pos == start+1 && p.b[start] == '-') {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(p.b[start:p.pos]), 10, 64)
-	return v, err == nil
-}
-
-// float64v scans a JSON number token. Exponents and fractions are
-// delegated to strconv, which accepts exactly the token the encoder
-// emitted.
-func (p *lineScanner) float64v() (float64, bool) {
-	start := p.pos
-	for p.pos < len(p.b) {
-		c := p.b[p.pos]
-		if (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' {
-			p.pos++
-			continue
+		if _, n := p.digits(); n == 0 {
+			return 0, false
 		}
-		break
 	}
-	if p.pos == start {
-		return 0, false
+	if p.pos < len(p.b) && (p.b[p.pos] == 'e' || p.b[p.pos] == 'E') {
+		p.pos++
+		if p.pos < len(p.b) && (p.b[p.pos] == '+' || p.b[p.pos] == '-') {
+			p.pos++
+		}
+		if _, n := p.digits(); n == 0 {
+			return 0, false
+		}
 	}
 	v, err := strconv.ParseFloat(string(p.b[start:p.pos]), 64)
 	return v, err == nil
 }
 
-// stringv scans a JSON string. Escape sequences are rare in this data
-// (game names and country codes are plain text), so the fast path only
-// handles escape-free strings and punts anything with a backslash to the
-// encoding/json fallback for the whole line.
+// stringBytes scans a JSON string whose bytes encoding/json would decode
+// to themselves. Escape sequences are rare in this data (game names and
+// country codes are plain text), so a backslash punts the whole line to
+// the encoding/json fallback, as does a raw control byte (which
+// encoding/json rejects) and invalid UTF-8 (which it replaces with
+// U+FFFD).
 func (p *lineScanner) stringBytes() ([]byte, bool) {
 	if p.pos >= len(p.b) || p.b[p.pos] != '"' {
 		return nil, false
 	}
 	p.pos++
 	start := p.pos
-	for p.pos < len(p.b) {
-		switch p.b[p.pos] {
-		case '"':
+	ascii := true
+	for ; p.pos < len(p.b); p.pos++ {
+		switch c := p.b[p.pos]; {
+		case c == '"':
 			b := p.b[start:p.pos]
 			p.pos++
-			return b, true
-		case '\\':
+			return b, ascii || utf8.Valid(b)
+		case c == '\\' || c < 0x20:
 			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
 		}
-		p.pos++
 	}
 	return nil, false
 }
 
-func (p *lineScanner) stringv() (string, bool) {
+// textv scans a string into the chunk's name text and returns its span.
+func (p *lineScanner) textv() (span, bool) {
 	b, ok := p.stringBytes()
 	if !ok {
-		return "", false
+		return span{}, false
 	}
-	return string(b), true
+	lo := len(p.d.text)
+	p.d.text = append(p.d.text, b...)
+	return span{lo, len(p.d.text)}, true
 }
 
-// stringvI is stringv for fields with bounded vocabularies; values are
-// interned when the scanner carries an interner.
+// stringvI scans a string of a bounded vocabulary and interns it.
 func (p *lineScanner) stringvI() (string, bool) {
 	b, ok := p.stringBytes()
 	if !ok {
 		return "", false
 	}
-	if p.in != nil {
-		return p.in.intern(b), true
-	}
-	return string(b), true
+	return p.d.in.intern(b), true
 }
 
 func (p *lineScanner) boolv() (bool, bool) {
@@ -405,28 +540,78 @@ func (p *lineScanner) boolv() (bool, bool) {
 	return false, false
 }
 
-func (p *lineScanner) uint64sField(key string) ([]uint64, bool) {
-	if !p.lit(key) {
-		return nil, false
-	}
+// scanList scans a list field's value: null, which sets sp to nullSpan,
+// or [item,...], whose items it appends to scratch, setting sp to their
+// range there.
+func scanList[T any](p *lineScanner, scratch *[]T, sp *span, item func() (T, bool)) bool {
 	if p.lit("null") {
-		return nil, true
+		*sp = nullSpan
+		return true
 	}
 	if !p.lit("[") {
-		return nil, false
+		return false
 	}
-	out := []uint64{}
+	lo := len(*scratch)
 	for !p.lit("]") {
-		if len(out) > 0 && !p.lit(",") {
-			return nil, false
+		if len(*scratch) > lo && !p.lit(",") {
+			return false
 		}
-		v, ok := p.uint64v()
+		v, ok := item()
 		if !ok {
-			return nil, false
+			return false
 		}
-		out = append(out, v)
+		*scratch = append(*scratch, v)
 	}
-	return out, true
+	*sp = span{lo, len(*scratch)}
+	return true
+}
+
+func (p *lineScanner) achievement() (a AchievementRecord, ok bool) {
+	if !p.lit(`{"Name":`) {
+		return a, false
+	}
+	name, ok := p.textv()
+	if !ok || !p.lit(`,"Percent":`) {
+		return a, false
+	}
+	if a.Percent, ok = p.float64v(); !ok || !p.lit("}") {
+		return a, false
+	}
+	p.d.achName = append(p.d.achName, name)
+	return a, true
+}
+
+func (p *lineScanner) friend() (f FriendRecord, ok bool) {
+	if !p.lit(`{"SteamID":`) {
+		return f, false
+	}
+	if f.SteamID, ok = p.uint64v(); !ok || !p.lit(`,"Since":`) {
+		return f, false
+	}
+	if f.Since, ok = p.int64v(); !ok {
+		return f, false
+	}
+	return f, p.lit("}")
+}
+
+func (p *lineScanner) ownership() (g OwnershipRecord, ok bool) {
+	if !p.lit(`{"AppID":`) {
+		return g, false
+	}
+	appID, ok := p.uint64v()
+	if !ok || appID > math.MaxUint32 || !p.lit(`,"TotalMinutes":`) {
+		return g, false
+	}
+	g.AppID = uint32(appID)
+	if g.TotalMinutes, ok = p.int64v(); !ok || !p.lit(`,"TwoWeekMinutes":`) {
+		return g, false
+	}
+	tw, ok := p.int64v()
+	if !ok || tw > math.MaxInt32 || tw < math.MinInt32 {
+		return g, false
+	}
+	g.TwoWeekMinutes = int32(tw)
+	return g, p.lit("}")
 }
 
 // decodedLine is one parsed JSONL record, kind-tagged like jsonlLine but
@@ -438,13 +623,31 @@ type decodedLine struct {
 	game        GameRecord
 	user        UserRecord
 	group       GroupRecord
+	// fast marks a record of the fast path, whose lists and name carve
+	// fills in from the spans below once its chunk is decoded: for a game
+	// Genres and Achievements, for a user Friends, Games and Groups, for a
+	// group Members.
+	fast  bool
+	name  span
+	lists [3]span
 }
 
 // decodeLineFast parses one trimmed line of the canonical encoder
-// layout. ok=false means "not canonical" — not an error; the caller
+// layout, appending its lists and names to d's scratch. ok=false means
+// "not canonical" — not an error; the scratch is rewound and the caller
 // retries with encoding/json.
-func decodeLineFast(trimmed []byte, out *decodedLine, in *interner) bool {
-	p := lineScanner{b: trimmed, in: in}
+func decodeLineFast(trimmed []byte, out *decodedLine, d *chunkDecoder) bool {
+	m := d.mark()
+	out.fast = true
+	if !decodeLine(&lineScanner{b: trimmed, d: d}, out) {
+		d.rewind(m)
+		out.fast = false
+		return false
+	}
+	return true
+}
+
+func decodeLine(p *lineScanner, out *decodedLine) bool {
 	if !p.lit(`{"kind":"`) {
 		return false
 	}
@@ -466,19 +669,21 @@ func decodeLineFast(trimmed []byte, out *decodedLine, in *interner) bool {
 		return p.lit(`}`) && p.done()
 	case p.lit(`game","game":`):
 		out.kind = 'g'
-		return decodeGameFast(&p, &out.game) && p.lit(`}`) && p.done()
+		return decodeGameFast(p, out) && p.lit(`}`) && p.done()
 	case p.lit(`user","user":`):
 		out.kind = 'u'
-		return decodeUserFast(&p, &out.user) && p.lit(`}`) && p.done()
+		return decodeUserFast(p, out) && p.lit(`}`) && p.done()
 	case p.lit(`group","group":`):
 		out.kind = 'p'
-		return decodeGroupFast(&p, &out.group) && p.lit(`}`) && p.done()
+		return decodeGroupFast(p, out) && p.lit(`}`) && p.done()
 	}
 	return false
 }
 
-func decodeGameFast(p *lineScanner, g *GameRecord) bool {
+func decodeGameFast(p *lineScanner, out *decodedLine) bool {
+	g := &out.game
 	*g = GameRecord{}
+	d := p.d
 	if !p.lit(`{"AppID":`) {
 		return false
 	}
@@ -490,7 +695,7 @@ func decodeGameFast(p *lineScanner, g *GameRecord) bool {
 	if !p.lit(`,"Name":`) {
 		return false
 	}
-	if g.Name, ok = p.stringv(); !ok {
+	if out.name, ok = p.textv(); !ok {
 		return false
 	}
 	if !p.lit(`,"Type":`) {
@@ -499,24 +704,8 @@ func decodeGameFast(p *lineScanner, g *GameRecord) bool {
 	if g.Type, ok = p.stringvI(); !ok {
 		return false
 	}
-	if !p.lit(`,"Genres":`) {
+	if !p.lit(`,"Genres":`) || !scanList(p, &d.genres, &out.lists[0], p.stringvI) {
 		return false
-	}
-	if !p.lit("null") {
-		if !p.lit("[") {
-			return false
-		}
-		g.Genres = []string{}
-		for !p.lit("]") {
-			if len(g.Genres) > 0 && !p.lit(",") {
-				return false
-			}
-			s, ok := p.stringvI()
-			if !ok {
-				return false
-			}
-			g.Genres = append(g.Genres, s)
-		}
 	}
 	if !p.lit(`,"Multiplayer":`) {
 		return false
@@ -552,42 +741,13 @@ func decodeGameFast(p *lineScanner, g *GameRecord) bool {
 	if g.Developer, ok = p.stringvI(); !ok {
 		return false
 	}
-	if !p.lit(`,"Achievements":`) {
-		return false
-	}
-	if !p.lit("null") {
-		if !p.lit("[") {
-			return false
-		}
-		g.Achievements = []AchievementRecord{}
-		for !p.lit("]") {
-			if len(g.Achievements) > 0 && !p.lit(",") {
-				return false
-			}
-			var a AchievementRecord
-			if !p.lit(`{"Name":`) {
-				return false
-			}
-			if a.Name, ok = p.stringv(); !ok {
-				return false
-			}
-			if !p.lit(`,"Percent":`) {
-				return false
-			}
-			if a.Percent, ok = p.float64v(); !ok {
-				return false
-			}
-			if !p.lit("}") {
-				return false
-			}
-			g.Achievements = append(g.Achievements, a)
-		}
-	}
-	return p.lit("}")
+	return p.lit(`,"Achievements":`) && scanList(p, &d.achs, &out.lists[1], p.achievement) && p.lit("}")
 }
 
-func decodeUserFast(p *lineScanner, u *UserRecord) bool {
+func decodeUserFast(p *lineScanner, out *decodedLine) bool {
+	u := &out.user
 	*u = UserRecord{}
+	d := p.d
 	if !p.lit(`{"SteamID":`) {
 		return false
 	}
@@ -613,87 +773,13 @@ func decodeUserFast(p *lineScanner, u *UserRecord) bool {
 	if u.City, ok = p.stringvI(); !ok {
 		return false
 	}
-	if !p.lit(`,"Friends":`) {
-		return false
-	}
-	if !p.lit("null") {
-		if !p.lit("[") {
-			return false
-		}
-		u.Friends = []FriendRecord{}
-		for !p.lit("]") {
-			if len(u.Friends) > 0 && !p.lit(",") {
-				return false
-			}
-			var f FriendRecord
-			if !p.lit(`{"SteamID":`) {
-				return false
-			}
-			if f.SteamID, ok = p.uint64v(); !ok {
-				return false
-			}
-			if !p.lit(`,"Since":`) {
-				return false
-			}
-			if f.Since, ok = p.int64v(); !ok {
-				return false
-			}
-			if !p.lit("}") {
-				return false
-			}
-			u.Friends = append(u.Friends, f)
-		}
-	}
-	if !p.lit(`,"Games":`) {
-		return false
-	}
-	if !p.lit("null") {
-		if !p.lit("[") {
-			return false
-		}
-		u.Games = []OwnershipRecord{}
-		for !p.lit("]") {
-			if len(u.Games) > 0 && !p.lit(",") {
-				return false
-			}
-			var g OwnershipRecord
-			if !p.lit(`{"AppID":`) {
-				return false
-			}
-			appID, ok := p.uint64v()
-			if !ok || appID > math.MaxUint32 {
-				return false
-			}
-			g.AppID = uint32(appID)
-			if !p.lit(`,"TotalMinutes":`) {
-				return false
-			}
-			if g.TotalMinutes, ok = p.int64v(); !ok {
-				return false
-			}
-			if !p.lit(`,"TwoWeekMinutes":`) {
-				return false
-			}
-			tw, ok := p.int64v()
-			if !ok || tw > math.MaxInt32 || tw < math.MinInt32 {
-				return false
-			}
-			g.TwoWeekMinutes = int32(tw)
-			if !p.lit("}") {
-				return false
-			}
-			u.Games = append(u.Games, g)
-		}
-	}
-	groups, ok := p.uint64sField(`,"Groups":`)
-	if !ok {
-		return false
-	}
-	u.Groups = groups
-	return p.lit("}")
+	return p.lit(`,"Friends":`) && scanList(p, &d.friends, &out.lists[0], p.friend) &&
+		p.lit(`,"Games":`) && scanList(p, &d.owned, &out.lists[1], p.ownership) &&
+		p.lit(`,"Groups":`) && scanList(p, &d.ids, &out.lists[2], p.uint64v) && p.lit("}")
 }
 
-func decodeGroupFast(p *lineScanner, g *GroupRecord) bool {
+func decodeGroupFast(p *lineScanner, out *decodedLine) bool {
+	g := &out.group
 	*g = GroupRecord{}
 	if !p.lit(`{"GID":`) {
 		return false
@@ -705,7 +791,7 @@ func decodeGroupFast(p *lineScanner, g *GroupRecord) bool {
 	if !p.lit(`,"Name":`) {
 		return false
 	}
-	if g.Name, ok = p.stringv(); !ok {
+	if out.name, ok = p.textv(); !ok {
 		return false
 	}
 	if !p.lit(`,"Type":`) {
@@ -714,10 +800,5 @@ func decodeGroupFast(p *lineScanner, g *GroupRecord) bool {
 	if g.Type, ok = p.stringvI(); !ok {
 		return false
 	}
-	members, ok := p.uint64sField(`,"Members":`)
-	if !ok {
-		return false
-	}
-	g.Members = members
-	return p.lit("}")
+	return p.lit(`,"Members":`) && scanList(p, &p.d.ids, &out.lists[0], p.uint64v) && p.lit("}")
 }

@@ -225,8 +225,9 @@ func TestJSONLFastPathAgreesWithStdlib(t *testing.T) {
 		if len(raw) == 0 {
 			continue
 		}
-		var rec decodedLine
-		if !decodeLineFast(raw, &rec, nil) {
+		var d chunkDecoder
+		recs := make([]decodedLine, 1)
+		if !decodeLineFast(raw, &recs[0], &d) {
 			// Escaped strings legitimately punt to the fallback; anything
 			// else should have been accepted.
 			if !bytes.Contains(raw, []byte{'\\'}) {
@@ -234,6 +235,8 @@ func TestJSONLFastPathAgreesWithStdlib(t *testing.T) {
 			}
 			continue
 		}
+		d.carve(recs)
+		rec := recs[0]
 		var line jsonlLine
 		if err := json.Unmarshal(raw, &line); err != nil {
 			t.Fatalf("line %d: stdlib rejected what fast path accepted: %v", lineNo+1, err)

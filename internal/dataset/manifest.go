@@ -16,7 +16,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -72,30 +71,52 @@ func ManifestPath(path string) string { return path + ".manifest.json" }
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // canon feeds a fixed, hand-rolled binary encoding of the record types
-// into a CRC hash: varints for integers and lengths, IEEE-754 bits for
+// into a CRC-32C: varints for integers and lengths, IEEE-754 bits for
 // floats, length-prefixed strings, fields in declaration order. The
 // encoding is defined here and nowhere else, so the checksum of a section
 // depends only on its values — NOT on the byte layout and not on
 // incidental process state. (An earlier draft hashed gob output; gob
 // assigns type IDs from a process-global counter, so the same records
 // hashed differently depending on what else the process had encoded.)
+//
+// The encoding is appended to a buffer and folded into the CRC in blocks
+// of canonBlock bytes: the CRC runs over the same byte stream as writing
+// each field straight into a hash, without a call per varint or string.
 type canon struct {
-	h   hash.Hash32
-	buf [binary.MaxVarintLen64]byte
+	crc uint32
+	buf []byte
 }
 
-func newCanon() canon { return canon{h: crc32.New(castagnoli)} }
+// canonBlock is the buffered encoding size at which canon folds its
+// buffer into the CRC. The zero canon is ready to use.
+const canonBlock = 16 << 10
 
-func (c *canon) u64(v uint64)  { c.h.Write(c.buf[:binary.PutUvarint(c.buf[:], v)]) }
-func (c *canon) i64(v int64)   { c.h.Write(c.buf[:binary.PutVarint(c.buf[:], v)]) }
+func (c *canon) u64(v uint64)  { c.buf = binary.AppendUvarint(c.buf, v) }
+func (c *canon) i64(v int64)   { c.buf = binary.AppendVarint(c.buf, v) }
 func (c *canon) f64(v float64) { c.u64(math.Float64bits(v)) }
-func (c *canon) str(s string)  { c.u64(uint64(len(s))); io.WriteString(c.h, s) }
+func (c *canon) str(s string)  { c.u64(uint64(len(s))); c.buf = append(c.buf, s...) }
 func (c *canon) boolean(b bool) {
 	if b {
 		c.u64(1)
 	} else {
 		c.u64(0)
 	}
+}
+
+// flush folds the buffered encoding into the CRC once a block is full;
+// the record encoders call it after each record.
+func (c *canon) flush() {
+	if len(c.buf) >= canonBlock {
+		c.crc = crc32.Update(c.crc, castagnoli, c.buf)
+		c.buf = c.buf[:0]
+	}
+}
+
+// sum returns the CRC-32C of everything encoded so far.
+func (c *canon) sum() uint32 {
+	c.crc = crc32.Update(c.crc, castagnoli, c.buf)
+	c.buf = c.buf[:0]
+	return c.crc
 }
 
 func (c *canon) user(u *UserRecord) {
@@ -118,6 +139,7 @@ func (c *canon) user(u *UserRecord) {
 	for _, gid := range u.Groups {
 		c.u64(gid)
 	}
+	c.flush()
 }
 
 func (c *canon) game(g *GameRecord) {
@@ -138,6 +160,7 @@ func (c *canon) game(g *GameRecord) {
 		c.str(a.Name)
 		c.f64(a.Percent)
 	}
+	c.flush()
 }
 
 func (c *canon) group(g *GroupRecord) {
@@ -148,13 +171,14 @@ func (c *canon) group(g *GroupRecord) {
 	for _, m := range g.Members {
 		c.u64(m)
 	}
+	c.flush()
 }
 
 // sectionSums re-derives each section's record count and canonical
 // checksum from decoded records, reproducible regardless of which layout
 // carried them.
 func (s *Snapshot) sectionSums() map[string]SectionSum {
-	games, users, groups := newCanon(), newCanon(), newCanon()
+	var games, users, groups canon
 	for i := range s.Games {
 		games.game(&s.Games[i])
 	}
@@ -165,9 +189,9 @@ func (s *Snapshot) sectionSums() map[string]SectionSum {
 		groups.group(&s.Groups[i])
 	}
 	return map[string]SectionSum{
-		sectionGames:  {Records: len(s.Games), CRC32C: games.h.Sum32()},
-		sectionUsers:  {Records: len(s.Users), CRC32C: users.h.Sum32()},
-		sectionGroups: {Records: len(s.Groups), CRC32C: groups.h.Sum32()},
+		sectionGames:  {Records: len(s.Games), CRC32C: games.sum()},
+		sectionUsers:  {Records: len(s.Users), CRC32C: users.sum()},
+		sectionGroups: {Records: len(s.Groups), CRC32C: groups.sum()},
 	}
 }
 
@@ -191,6 +215,38 @@ func (s *Snapshot) ContentSignature() string {
 		put(uint64(sums[name].CRC32C))
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// minLineBytes is the length of the shortest line each section
+// (games, users, groups) can hold: a zero-valued record.
+var minLineBytes = func() (n [3]int64) {
+	g, _ := appendGameLine(nil, &GameRecord{})
+	u, _ := appendUserLine(nil, &UserRecord{})
+	p, _ := appendGroupLine(nil, &GroupRecord{})
+	return [3]int64{int64(len(g)), int64(len(u)), int64(len(p))}
+}()
+
+// maxGzipRatio bounds how many uncompressed bytes recordHints believes a
+// compressed snapshot holds per file byte. Deflate shrinks this JSONL
+// about 8:1.
+const maxGzipRatio = 16
+
+// recordHints returns the manifest's section record counts (games,
+// users, groups) for presizing a load. Only call it once the file's
+// bytes have verified against FileBytes: each count is capped by the
+// number of shortest lines those bytes could hold (maxGzipRatio times as
+// many when compressed), so a manifest with a wrong count costs an
+// allocation proportional to the file, never more.
+func (m *Manifest) recordHints() [3]int {
+	bytes := m.FileBytes
+	if m.Compressed {
+		bytes *= maxGzipRatio
+	}
+	var h [3]int
+	for i, name := range writerSections {
+		h[i] = int(min(max(int64(m.Sections[name].Records), 0), bytes/minLineBytes[i]))
+	}
+	return h
 }
 
 // ReadManifest reads the sidecar manifest for a snapshot path. A missing

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -124,6 +123,11 @@ func syncDir(dir string) error {
 // without a manifest (pre-manifest files, or a crash that published data
 // before its sidecar) load unverified.
 //
+// Once a single file's raw bytes have verified, the manifest's section
+// counts presize the snapshot's record slices. Each record's lists and
+// names share one allocation with the rest of its decode chunk (see
+// Reader), so a load allocates per chunk, not per record.
+//
 // Options: WithProgress reports per-section record counts as they decode.
 func Load(path string, opts ...Option) (*Snapshot, error) {
 	_, sharded, err := snapshotPath(path)
@@ -143,12 +147,16 @@ func Load(path string, opts ...Option) (*Snapshot, error) {
 			hashErr = man.verifyFile(path)
 		}
 	}
+	var hint [3]int
+	if man != nil && hashErr == nil {
+		hint = man.recordHints()
+	}
 	r, err := openReader(path, 0, true, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	s, err := r.collect()
+	s, err := r.collect(hint)
 	if err != nil {
 		if hashErr != nil {
 			return nil, fmt.Errorf("%w (raw-byte check also failed: %v)", err, hashErr)
@@ -200,8 +208,9 @@ type jsonlLine struct {
 // and the record interval at which the Writer and Reader report progress.
 const jsonlChunk = 512
 
-// rawLine is one non-blank input line with its 1-based file line number
-// (blank lines are skipped but still numbered).
+// rawLine is one non-blank, trimmed input line with its 1-based file
+// line number (blank lines are skipped but still numbered). b points into
+// the Reader's line arena and is valid only until the next chunk.
 type rawLine struct {
 	no int
 	b  []byte
@@ -215,54 +224,52 @@ type decodedChunk struct {
 	errLine int
 }
 
-// decodeChunk parses one batch of lines into recs[:0]: the strict fast
-// path for the canonical layout, encoding/json for anything else, with
-// identical errors either way.
-func decodeChunk(lines []rawLine, recs []decodedLine) decodedChunk {
+// decode parses one batch of lines into recs[:0], then carves the
+// fast-path records' lists and names from slabs of this chunk alone, so
+// none of them aliases a line.
+func (d *chunkDecoder) decode(lines []rawLine, recs []decodedLine) decodedChunk {
 	out := decodedChunk{recs: recs[:0]}
-	// One interner per chunk: duplicate strings collapse within the chunk;
-	// cross-chunk duplicates cost one instance per chunk.
-	var in interner
 	for _, ln := range lines {
-		trimmed := bytes.TrimSpace(ln.b)
-		var rec decodedLine
-		if !decodeLineFast(trimmed, &rec, &in) {
-			var line jsonlLine
-			if uerr := json.Unmarshal(trimmed, &line); uerr != nil {
-				out.err, out.errLine = uerr, ln.no
-				return out
-			}
-			switch line.Kind {
-			case "header":
-				rec = decodedLine{kind: 'h', collectedAt: line.CollectedAt}
-			case "game":
-				if line.Game == nil {
-					out.err = fmt.Errorf("game record without payload")
-					out.errLine = ln.no
-					return out
-				}
-				rec = decodedLine{kind: 'g', game: *line.Game}
-			case "user":
-				if line.User == nil {
-					out.err = fmt.Errorf("user record without payload")
-					out.errLine = ln.no
-					return out
-				}
-				rec = decodedLine{kind: 'u', user: *line.User}
-			case "group":
-				if line.Group == nil {
-					out.err = fmt.Errorf("group record without payload")
-					out.errLine = ln.no
-					return out
-				}
-				rec = decodedLine{kind: 'p', group: *line.Group}
-			default:
-				out.err = fmt.Errorf("unknown record kind %q", line.Kind)
-				out.errLine = ln.no
-				return out
-			}
+		rec, err := d.decodeLine(ln.b)
+		if err != nil {
+			out.err, out.errLine = err, ln.no
+			break
 		}
 		out.recs = append(out.recs, rec)
 	}
+	d.carve(out.recs)
 	return out
+}
+
+// decodeLine parses one trimmed line: the strict fast path for the
+// canonical layout, encoding/json for anything else, with identical
+// errors either way.
+func (d *chunkDecoder) decodeLine(b []byte) (decodedLine, error) {
+	var rec decodedLine
+	if decodeLineFast(b, &rec, d) {
+		return rec, nil
+	}
+	var line jsonlLine
+	if err := json.Unmarshal(b, &line); err != nil {
+		return rec, err
+	}
+	switch line.Kind {
+	case "header":
+		return decodedLine{kind: 'h', collectedAt: line.CollectedAt}, nil
+	case "game":
+		if line.Game != nil {
+			return decodedLine{kind: 'g', game: *line.Game}, nil
+		}
+	case "user":
+		if line.User != nil {
+			return decodedLine{kind: 'u', user: *line.User}, nil
+		}
+	case "group":
+		if line.Group != nil {
+			return decodedLine{kind: 'p', group: *line.Group}, nil
+		}
+	default:
+		return rec, fmt.Errorf("unknown record kind %q", line.Kind)
+	}
+	return rec, fmt.Errorf("%s record without payload", line.Kind)
 }

@@ -120,9 +120,6 @@ func NewWriter(path string, collectedAt int64, opts ...Option) (*Writer, error) 
 		sha:         sha256.New(),
 		prog:        sectionProgress{fn: o.progress},
 	}
-	for i := range w.crc {
-		w.crc[i] = newCanon()
-	}
 	dir := filepath.Dir(path)
 	if sharded {
 		w.tmpDir, err = os.MkdirTemp(dir, ".tmp-"+filepath.Base(path)+"-")
@@ -348,9 +345,9 @@ func (w *Writer) manifest() *Manifest {
 		FileBytes:     w.total,
 		FileSHA256:    hex.EncodeToString(w.sha.Sum(nil)),
 		Sections: map[string]SectionSum{
-			sectionGames:  {Records: w.prog.counts[0], CRC32C: w.crc[0].h.Sum32()},
-			sectionUsers:  {Records: w.prog.counts[1], CRC32C: w.crc[1].h.Sum32()},
-			sectionGroups: {Records: w.prog.counts[2], CRC32C: w.crc[2].h.Sum32()},
+			sectionGames:  {Records: w.prog.counts[0], CRC32C: w.crc[0].sum()},
+			sectionUsers:  {Records: w.prog.counts[1], CRC32C: w.crc[1].sum()},
+			sectionGroups: {Records: w.prog.counts[2], CRC32C: w.crc[2].sum()},
 		},
 	}
 	if w.sharded {
@@ -498,6 +495,15 @@ func (w *Writer) publish(man *Manifest) (err error) {
 // A decode or read error first yields every record of its chunk that
 // precedes the failing line, then surfaces from Next; records read so
 // far are thus the file's longest readable prefix, which fsck reports.
+//
+// Slice lifetime: the lines of a chunk are copied into one byte arena
+// that the Reader reuses for every chunk, but no decoded value aliases
+// it. A record's lists (Friends, Games, Groups, Members, Genres,
+// Achievements) and names are carved from slabs allocated for its chunk
+// alone and never reused, so a consumer may keep any record Next returns
+// for as long as it likes (keeping one keeps its chunk's slabs alive).
+// Each list has cap == len: appending to one reallocates rather than
+// overwriting the next record's list.
 type Reader struct {
 	path    string
 	sharded bool
@@ -521,6 +527,8 @@ type Reader struct {
 	pending    []decodedLine
 	pi         int
 	lines      []rawLine
+	arena      []byte // this chunk's kept lines, back to back
+	dec        chunkDecoder
 	eof        bool
 	err        error
 	verifySegs bool
@@ -535,7 +543,10 @@ type Reader struct {
 // at path (single JSONL file or sharded directory). The header is
 // consumed internally — CollectedAt is available once the first record
 // (or end of stream) has been reached; for sharded layouts it is read
-// eagerly at open. Options: WithProgress reports per-section decoded
+// eagerly at open. Lines are read in place from the read buffer and
+// only the decoded chunk's lines are copied, into an arena the reader
+// reuses; the records Next returns never alias it (see Reader for their
+// slices' lifetime). Options: WithProgress reports per-section decoded
 // record counts.
 func OpenReader(path string, opts ...Option) (*Reader, error) {
 	return openReader(path, 0, true, buildOptions(opts))
@@ -752,11 +763,12 @@ func (r *Reader) Next(rec *Record) (bool, error) {
 	}
 }
 
-// collect drains the reader into a Snapshot. On error the snapshot holds
-// every record read before it, so fsck can still describe a partially
-// readable file.
-func (r *Reader) collect() (*Snapshot, error) {
-	s := &Snapshot{}
+// collect drains the reader into a Snapshot whose sections start with
+// room for hint records (games, users, groups; a wrong hint only costs
+// growth). On error the snapshot holds every record read before it, so
+// fsck can still describe a partially readable file.
+func (r *Reader) collect(hint [3]int) (*Snapshot, error) {
+	s := &Snapshot{Games: withCap[GameRecord](hint[0]), Users: withCap[UserRecord](hint[1]), Groups: withCap[GroupRecord](hint[2])}
 	var rec Record
 	for {
 		ok, err := r.Next(&rec)
@@ -773,6 +785,15 @@ func (r *Reader) collect() (*Snapshot, error) {
 			s.Groups = append(s.Groups, rec.Group)
 		}
 	}
+}
+
+// withCap returns an empty slice with capacity n, or nil for n == 0, so
+// an empty section collects to nil as it always has.
+func withCap[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // sectionProgress counts one stream's records per section (indexed like
@@ -824,10 +845,12 @@ func kindSniff(trimmed []byte) byte {
 	return 0
 }
 
-// fill reads the next chunk of lines and decodes it into r.pending.
+// fill reads the next chunk of lines into the line arena and decodes it
+// into r.pending.
 func (r *Reader) fill() error {
 	r.pending, r.pi = r.pending[:0], 0
 	r.lines = r.lines[:0]
+	r.arena = r.arena[:0]
 	for len(r.lines) < jsonlChunk {
 		if r.br == nil {
 			ok, err := r.advanceSegment()
@@ -840,32 +863,20 @@ func (r *Reader) fill() error {
 			}
 		}
 		r.lineNo++
-		raw, err := r.br.ReadBytes('\n')
+		raw, err := r.readLine()
 		if err != nil && err != io.EOF {
 			// Decode the lines already read; the error surfaces after them.
 			r.deferredErr = fmt.Errorf("dataset: decoding %s: line %d: %w", r.curPath, r.lineNo, err)
 			r.eof = true
 			break
 		}
-		if len(raw) > 0 {
-			if r.segCRC != nil {
-				r.segCRC.Write(raw)
-				r.segN += int64(len(raw))
-			}
-			if r.sha != nil {
-				r.sha.Write(raw)
-			}
-			trimmed := bytes.TrimSpace(raw)
-			if len(trimmed) != 0 {
-				// Filtered single-file scans skip foreign canonical lines
-				// here, before any decode; header lines always pass so
-				// CollectedAt is picked up.
-				k := kindSniff(trimmed)
-				if r.filter == 0 || k == 0 || k == 'h' || k == r.filter {
-					// ReadBytes returns a fresh slice, so the line is safe to
-					// keep without copying.
-					r.lines = append(r.lines, rawLine{no: r.lineNo, b: raw})
-				}
+		if trimmed := bytes.TrimSpace(raw); len(trimmed) != 0 {
+			// Filtered single-file scans skip foreign canonical lines
+			// here, before any copy or decode; header lines always pass
+			// so CollectedAt is picked up.
+			k := kindSniff(trimmed)
+			if r.filter == 0 || k == 0 || k == 'h' || k == r.filter {
+				r.keepLine(trimmed)
 			}
 		}
 		if err == io.EOF {
@@ -881,13 +892,57 @@ func (r *Reader) fill() error {
 	if len(r.lines) == 0 {
 		return nil
 	}
-	dc := decodeChunk(r.lines, r.pending)
+	dc := r.dec.decode(r.lines, r.pending)
 	r.pending = dc.recs
 	if dc.err != nil {
 		r.deferredErr = fmt.Errorf("dataset: decoding %s: line %d: %w", r.curPath, dc.errLine, dc.err)
 		r.eof = true
 	}
 	return nil
+}
+
+// readLine returns the next raw line, folded into the segment CRC and
+// stream hash. The slice is bufio's own buffer, valid until the next
+// read, except for a line longer than that buffer, which is assembled at
+// the end of the line arena.
+func (r *Reader) readLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		at := len(r.arena)
+		for err == bufio.ErrBufferFull {
+			r.sum(line)
+			r.arena = append(r.arena, line...)
+			line, err = r.br.ReadSlice('\n')
+		}
+		r.arena = append(r.arena, line...)
+		// keepLine's copy moves the line down to at, where it already is.
+		line, r.arena = r.arena[at:], r.arena[:at]
+	}
+	if err == nil || err == io.EOF {
+		r.sum(line)
+	}
+	return line, err
+}
+
+// sum folds raw stream bytes into the open segment's CRC and the
+// concatenated-stream hash, when those are being checked.
+func (r *Reader) sum(b []byte) {
+	if r.segCRC != nil {
+		r.segCRC.Write(b)
+		r.segN += int64(len(b))
+	}
+	if r.sha != nil {
+		r.sha.Write(b)
+	}
+}
+
+// keepLine copies a trimmed line into the line arena for this chunk's
+// decode. The arena is reused chunk after chunk; decoded records never
+// alias it.
+func (r *Reader) keepLine(trimmed []byte) {
+	at := len(r.arena)
+	r.arena = append(r.arena, trimmed...)
+	r.lines = append(r.lines, rawLine{no: r.lineNo, b: r.arena[at:len(r.arena):len(r.arena)]})
 }
 
 // advanceSegment opens the next segment of a sharded read; ok=false at
