@@ -14,8 +14,11 @@ race:
 # verify is the tier-1 gate: everything builds, vet is clean, all tests
 # pass, the test suite is race-clean, and the committed example snapshot
 # passes fsck at the CLI. The crash-tagged harness must at least compile
-# (vet + a no-op test run), so it cannot rot unnoticed.
+# (vet + a no-op test run), so it cannot rot unnoticed. Code under cmd and
+# internal (what `make fmt` rewrites) must be gofmt-clean.
 verify: build vet test race fsck
+	@unformatted=$$(gofmt -l cmd internal); \
+		if [ -n "$$unformatted" ]; then echo "gofmt needed (run make fmt):"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet -tags crash ./internal/crawler ./internal/fleet
 	$(GO) test -tags crash -run '^$$' ./internal/crawler ./internal/fleet
 	$(GO) vet -tags scale ./internal/scale
@@ -74,8 +77,10 @@ fuzz:
 # GOMAXPROCS it actually ran under, so a workers=max number is never
 # mistaken for a parallel speedup the machine could not have produced.
 #   BENCH_analysis.json — tier-2 analysis benchmarks (RunAll render,
-#     heavy-tail fit, Table 4 classification, Spearman), serial baseline
-#     and full-pool variant of each.
+#     heavy-tail fit, Table 4 classification of a continuous and a
+#     count-data row, Spearman), serial baseline and full-pool variant of
+#     each. Each row is the median of 5 runs, with the min and max ns/op
+#     beside it.
 #   BENCH_obs.json — obs hot-path costs (counter add, histogram observe,
 #     8-goroutine contention): the observability layer's overhead budget.
 #   BENCH_datapath.json — the data plane at 500k-user scale (generate
@@ -99,7 +104,7 @@ scalebench:
 		-max-rss-mb 2048 -out BENCH_scale.json
 
 bench:
-	$(GO) run ./cmd/benchjson -out BENCH_analysis.json
+	$(GO) run ./cmd/benchjson -count 5 -out BENCH_analysis.json
 	$(GO) run ./cmd/benchjson -out BENCH_obs.json -pkg ./internal/obs \
 		-bench '^(BenchmarkCounterAdd|BenchmarkHistogramObserve|BenchmarkContended8)$$'
 	$(GO) run ./cmd/benchjson -count 5 -out BENCH_datapath.json -pkg ./internal/dataset \

@@ -7,10 +7,10 @@ import (
 	"steamstudy/internal/randx"
 )
 
-// The tail fitters read ln x from a per-fit cache instead of calling
-// LogPDF. These reference objectives and fitters are as they were written
-// against LogPDF; the cached ones must agree to the bit, or Table 4
-// renders would drift.
+// The fits, their objectives and KSStatistic evaluate each term once per
+// run of equal values (RunEnd) and add it once per point. These reference
+// versions are the per-point loops, written against LogPDF and CDF; the
+// run-length ones must agree to the bit, or Table 4 renders would drift.
 
 func refLognormalTailNegLL(tail []float64, xmin float64) func(p []float64) float64 {
 	return func(p []float64) float64 {
@@ -48,15 +48,104 @@ func refTruncatedPowerLawNegLL(tail []float64, xmin float64) func(p []float64) f
 	}
 }
 
+func refFitLognormalFull(data []float64) (mu, sigma float64) {
+	n := float64(len(data))
+	sum := 0.0
+	for _, x := range data {
+		sum += math.Log(x)
+	}
+	mu = sum / n
+	ss := 0.0
+	for _, x := range data {
+		d := math.Log(x) - mu
+		ss += d * d
+	}
+	sigma = math.Sqrt(ss / n)
+	if sigma <= 0 {
+		sigma = 1e-9
+	}
+	return mu, sigma
+}
+
+func refFitPowerLaw(tail []float64, xmin float64) PowerLaw {
+	sum := 0.0
+	for _, x := range tail {
+		sum += math.Log(x / xmin)
+	}
+	alpha := 1 + float64(len(tail))/sum
+	if math.IsNaN(alpha) || math.IsInf(alpha, 0) || alpha <= 1 {
+		alpha = 1 + 1e-6
+	}
+	return PowerLaw{Alpha: alpha, Xmin: xmin}
+}
+
+func refDiscretePowerLawNegLL(tail []float64, kmin float64) func(alpha float64) float64 {
+	sumLog := 0.0
+	for _, x := range tail {
+		sumLog += math.Log(x)
+	}
+	n := float64(len(tail))
+	return func(alpha float64) float64 {
+		return alpha*sumLog + n*math.Log(HurwitzZeta(alpha, kmin))
+	}
+}
+
+func refKSStatistic(sortedTail []float64, cdf func(float64) float64) float64 {
+	n := float64(len(sortedTail))
+	maxD := 0.0
+	for i, x := range sortedTail {
+		m := cdf(x)
+		lo := float64(i) / n
+		hi := float64(i+1) / n
+		if d := math.Abs(m - lo); d > maxD {
+			maxD = d
+		}
+		if d := math.Abs(m - hi); d > maxD {
+			maxD = d
+		}
+	}
+	return maxD
+}
+
+// refLognormalCDF and refTruncatedPowerLawCDF recompute the normalisers
+// the constructors cache.
+func refLognormalCDF(l Lognormal, x float64) float64 {
+	if x <= l.Xmin {
+		return 0
+	}
+	cXmin := l.cdfFull(l.Xmin)
+	denom := 1 - cXmin
+	if denom <= 0 {
+		return 1
+	}
+	return (l.cdfFull(x) - cXmin) / denom
+}
+
+func refTruncatedPowerLawCDF(t TruncatedPowerLaw, x float64) float64 {
+	if x <= t.Xmin {
+		return 0
+	}
+	num := UpperIncGamma(1-t.Alpha, t.Lambda*x)
+	den := UpperIncGamma(1-t.Alpha, t.Lambda*t.Xmin)
+	c := 1 - num/den
+	if c < 0 {
+		return 0
+	}
+	if c > 1 {
+		return 1
+	}
+	return c
+}
+
 func refFitLognormalTail(tail []float64, xmin float64) (mu, sigma float64) {
-	init := FitLognormalFull(tail)
-	x0 := []float64{init.Mu, math.Log(init.Sigma)}
+	mu0, sigma0 := refFitLognormalFull(tail)
+	x0 := []float64{mu0, math.Log(sigma0)}
 	best, _ := NelderMead(refLognormalTailNegLL(tail, xmin), x0, []float64{0.5, 0.3}, 400)
 	return best[0], math.Exp(best[1])
 }
 
 func refFitTruncatedPowerLaw(tail []float64, xmin float64) (alpha, lambda float64) {
-	pl := FitPowerLaw(tail, xmin)
+	pl := refFitPowerLaw(tail, xmin)
 	mean := 0.0
 	for _, x := range tail {
 		mean += x
@@ -79,12 +168,17 @@ func refFitTruncatedPowerLaw(tail []float64, xmin float64) (alpha, lambda float6
 	return best[0], math.Exp(best[1])
 }
 
-func TestTailFitsMatchLogPDFObjectivesExactly(t *testing.T) {
-	type tailCase struct {
-		name string
-		tail []float64
-		xmin float64
-	}
+type tailCase struct {
+	name string
+	tail []float64
+	xmin float64
+}
+
+// tailCases are tails as the fitters see them. The continuous draws and
+// "integer-ties" are unsorted, so their runs are short; the "sorted-*"
+// tails are count data sorted as heavytail.New passes them, where every
+// distinct value is one long run.
+func tailCases() []tailCase {
 	var cases []tailCase
 	for _, seed := range []int64{1, 3, 7, 11, 42} {
 		r := randx.New(seed)
@@ -116,8 +210,29 @@ func TestTailFitsMatchLogPDFObjectivesExactly(t *testing.T) {
 			ints[i] = math.Floor(r.Pareto(1.9, 10))
 		}
 		cases = append(cases, tailCase{"integer-ties", ints, 10})
-	}
 
+		// Counts from 1, as in game ownership and friendship degrees.
+		counts := make([]float64, n)
+		for i := range counts {
+			counts[i] = float64(r.DiscretePowerLaw(2.1, 1))
+		}
+		cases = append(cases, tailCase{"sorted-counts", SortedCopy(counts), 1})
+
+		// A lognormal count column cut at xmin = 3, as a tail above a
+		// fixed threshold.
+		cut := make([]float64, 0, n)
+		for len(cut) < n {
+			if k := math.Floor(r.Lognormal(1.5, 1.1)); k >= 3 {
+				cut = append(cut, k)
+			}
+		}
+		cases = append(cases, tailCase{"sorted-lognormal-counts", SortedCopy(cut), 3})
+	}
+	return cases
+}
+
+func TestTailFitsMatchLogPDFObjectivesExactly(t *testing.T) {
+	cases := tailCases()
 	for _, tc := range cases {
 		mu, sigma := refFitLognormalTail(tc.tail, tc.xmin)
 		l := FitLognormalTail(tc.tail, tc.xmin)
@@ -160,5 +275,62 @@ func TestLognormalTailFitOutOfSupportMatchesLogPDF(t *testing.T) {
 	l := FitLognormalTail(tail, 3)
 	if math.Float64bits(l.Mu) != math.Float64bits(mu) || math.Float64bits(l.Sigma) != math.Float64bits(sigma) {
 		t.Fatalf("cached (%v, %v), LogPDF (%v, %v)", l.Mu, l.Sigma, mu, sigma)
+	}
+}
+
+// The closed-form fits, KSStatistic and the cached CDF normalisers against
+// their per-point references, on the fit tails plus inputs with NaN,
+// signed zeros, infinities and points below xmin.
+func TestClosedFormFitsAndKSMatchPerPointExactly(t *testing.T) {
+	cases := tailCases()
+	cases = append(cases,
+		tailCase{"special-values", []float64{math.NaN(), math.NaN(), math.Copysign(0, -1), 0, 0, 1, 1, 2, math.Inf(1)}, 1},
+		tailCase{"below-xmin", []float64{1, 1, 2, 5, 5, 5, 9, 30, 30}, 3},
+		tailCase{"single-value", []float64{7, 7, 7, 7, 7, 7}, 7},
+	)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, tc := range cases {
+		sorted := SortedCopy(tc.tail)
+
+		pl, wantPL := FitPowerLaw(tc.tail, tc.xmin), refFitPowerLaw(tc.tail, tc.xmin)
+		if !same(pl.Alpha, wantPL.Alpha) {
+			t.Errorf("%s n=%d FitPowerLaw: alpha %v, per point %v", tc.name, len(tc.tail), pl.Alpha, wantPL.Alpha)
+		}
+		// Golden-section search absorbs most last-bit differences, so
+		// the objective is compared, not only the fitted α.
+		negLL, wantNegLL := discretePowerLawNegLL(tc.tail, tc.xmin), refDiscretePowerLawNegLL(tc.tail, tc.xmin)
+		for alpha := 1.0001; alpha <= 8; alpha += 0.25 {
+			if got, want := negLL(alpha), wantNegLL(alpha); !same(got, want) {
+				t.Fatalf("%s n=%d discrete power-law objective at %v: %v, per point %v", tc.name, len(tc.tail), alpha, got, want)
+			}
+		}
+		if got, want := FitDiscretePowerLaw(tc.tail, tc.xmin).Alpha, GoldenSection(wantNegLL, 1.0001, 8, 1e-6); !same(got, want) {
+			t.Errorf("%s n=%d FitDiscretePowerLaw: alpha %v, per point %v", tc.name, len(tc.tail), got, want)
+		}
+		full := FitLognormalFull(tc.tail)
+		if mu, sigma := refFitLognormalFull(tc.tail); !same(full.Mu, mu) || !same(full.Sigma, sigma) {
+			t.Errorf("%s n=%d FitLognormalFull: (%v, %v), per point (%v, %v)", tc.name, len(tc.tail), full.Mu, full.Sigma, mu, sigma)
+		}
+
+		ln := NewLognormal(full.Mu, full.Sigma, tc.xmin)
+		tpl := NewTruncatedPowerLaw(1.7, 0.02, tc.xmin)
+		cdfs := []struct {
+			family    string
+			cdf, want func(float64) float64
+		}{
+			{"power law", pl.CDF, pl.CDF},
+			{"lognormal", ln.CDF, func(x float64) float64 { return refLognormalCDF(ln, x) }},
+			{"truncated power law", tpl.CDF, func(x float64) float64 { return refTruncatedPowerLawCDF(tpl, x) }},
+		}
+		for _, c := range cdfs {
+			for _, x := range sorted {
+				if got, want := c.cdf(x), c.want(x); !same(got, want) {
+					t.Fatalf("%s %s CDF(%v): cached %v, recomputed %v", tc.name, c.family, x, got, want)
+				}
+			}
+			if got, want := KSStatistic(sorted, c.cdf), refKSStatistic(sorted, c.want); !same(got, want) {
+				t.Errorf("%s n=%d KS against %s: %v, per point %v", tc.name, len(tc.tail), c.family, got, want)
+			}
+		}
 	}
 }

@@ -13,12 +13,14 @@ type Lognormal struct {
 	Xmin  float64 // left truncation point (0 for the full distribution)
 
 	logCCDFXmin float64 // cached ln P(X >= Xmin) under the untruncated law
+	cdfXmin     float64 // cached P(X < Xmin) under the untruncated law
 }
 
 // NewLognormal constructs a (possibly tail-conditioned) lognormal.
 func NewLognormal(mu, sigma, xmin float64) Lognormal {
 	l := Lognormal{Mu: mu, Sigma: sigma, Xmin: xmin}
 	l.logCCDFXmin = math.Log(l.ccdfFull(xmin))
+	l.cdfXmin = l.cdfFull(xmin)
 	return l
 }
 
@@ -60,18 +62,16 @@ func (l Lognormal) CDF(x float64) float64 {
 	if x <= l.Xmin {
 		return 0
 	}
-	cXmin := l.cdfFull(l.Xmin)
-	denom := 1 - cXmin
+	denom := 1 - l.cdfXmin
 	if denom <= 0 {
 		return 1
 	}
-	return (l.cdfFull(x) - cXmin) / denom
+	return (l.cdfFull(x) - l.cdfXmin) / denom
 }
 
 // Quantile returns the conditional quantile of the tail distribution.
 func (l Lognormal) Quantile(q float64) float64 {
-	cXmin := l.cdfFull(l.Xmin)
-	p := cXmin + q*(1-cXmin)
+	p := l.cdfXmin + q*(1-l.cdfXmin)
 	return math.Exp(l.Mu + l.Sigma*NormalQuantile(p))
 }
 
@@ -81,18 +81,24 @@ func (l Lognormal) QuantileFull(q float64) float64 {
 }
 
 // FitLognormalFull computes the closed-form MLE on untruncated data
-// (every x must be > 0).
+// (every x must be > 0). Both sums run per point over ln x evaluated once
+// per run (see RunEnd).
 func FitLognormalFull(data []float64) Lognormal {
+	runs := logRunsOf(data)
 	n := float64(len(data))
 	sum := 0.0
-	for _, x := range data {
-		sum += math.Log(x)
+	for _, r := range runs {
+		for k := 0; k < r.n; k++ {
+			sum += r.logX
+		}
 	}
 	mu := sum / n
 	ss := 0.0
-	for _, x := range data {
-		d := math.Log(x) - mu
-		ss += d * d
+	for _, r := range runs {
+		d := r.logX - mu
+		for k := 0; k < r.n; k++ {
+			ss += d * d
+		}
 	}
 	sigma := math.Sqrt(ss / n)
 	if sigma <= 0 {
@@ -105,13 +111,13 @@ func FitLognormalFull(data []float64) Lognormal {
 // x >= xmin, via Nelder–Mead on (mu, log sigma). The truncated likelihood
 // has no closed form. Initialized from the untruncated MLE.
 //
-// The objective is LogPDF summed over the tail, with ln x read from a
-// per-fit cache instead of recomputed on every evaluation. The cache keeps
-// each point's term the same expression LogPDF evaluates, so the fit is
-// bit-identical to summing LogPDF. Reducing the sum to Σ ln x and Σ ln²x
-// would be cheaper still, but it reorders the floating-point arithmetic
-// and moves the fitted parameters in their last bits, which is enough to
-// change Table 4 renders.
+// The objective is LogPDF summed over the tail, evaluated once per run of
+// equal values with ln x cached per run, and added once per point: the fit
+// is bit-identical to summing LogPDF point by point. Reducing the sum to
+// Σ ln x and Σ ln²x, or multiplying each term by its run length, would be
+// cheaper still, but it reorders the floating-point arithmetic and moves
+// the fitted parameters in their last bits, which is enough to change
+// Table 4 renders.
 func FitLognormalTail(tail []float64, xmin float64) Lognormal {
 	init := FitLognormalFull(tail)
 	x0 := []float64{init.Mu, math.Log(init.Sigma)}
@@ -121,33 +127,27 @@ func FitLognormalTail(tail []float64, xmin float64) Lognormal {
 
 // lognormalTailNegLL is FitLognormalTail's objective over (mu, ln sigma).
 func lognormalTailNegLL(tail []float64, xmin float64) func(p []float64) float64 {
-	logs := logsOf(tail)
+	runs := logRunsOf(tail)
 	return func(p []float64) float64 {
 		mu := p[0]
 		sigma := math.Exp(p[1])
 		l := NewLognormal(mu, sigma, xmin)
 		ll := 0.0
-		for i, x := range tail {
+		for _, r := range runs {
+			x := r.x
 			if x < l.Xmin || x <= 0 {
 				return math.MaxFloat64
 			}
-			z := (logs[i] - l.Mu) / l.Sigma
+			z := (r.logX - l.Mu) / l.Sigma
 			logPDF := -math.Log(x*l.Sigma*math.Sqrt(2*math.Pi)) - z*z/2
-			ll += logPDF - l.logCCDFXmin
+			term := logPDF - l.logCCDFXmin
+			for k := 0; k < r.n; k++ {
+				ll += term
+			}
 		}
 		if math.IsNaN(ll) || math.IsInf(ll, 0) {
 			return math.MaxFloat64
 		}
 		return -ll
 	}
-}
-
-// logsOf returns ln x for every point, the per-fit cache the tail
-// likelihoods read instead of calling math.Log per evaluation.
-func logsOf(xs []float64) []float64 {
-	logs := make([]float64, len(xs))
-	for i, x := range xs {
-		logs[i] = math.Log(x)
-	}
-	return logs
 }

@@ -72,8 +72,12 @@ func (p PowerLaw) Quantile(q float64) float64 {
 // data (all values must be >= xmin): α = 1 + n / Σ ln(xᵢ/xmin).
 func FitPowerLaw(tail []float64, xmin float64) PowerLaw {
 	sum := 0.0
-	for _, x := range tail {
-		sum += math.Log(x / xmin)
+	for i := 0; i < len(tail); {
+		j := RunEnd(tail, i)
+		l := math.Log(tail[i] / xmin)
+		for ; i < j; i++ {
+			sum += l
+		}
 	}
 	alpha := 1 + float64(len(tail))/sum
 	if math.IsNaN(alpha) || math.IsInf(alpha, 0) || alpha <= 1 {
@@ -128,34 +132,50 @@ func (p DiscretePowerLaw) CDF(x float64) float64 {
 // FitDiscretePowerLaw computes the MLE α for integer data >= kmin by
 // maximizing the exact discrete likelihood with golden-section search.
 func FitDiscretePowerLaw(tail []float64, kmin float64) DiscretePowerLaw {
+	alpha := GoldenSection(discretePowerLawNegLL(tail, kmin), 1.0001, 8, 1e-6)
+	return NewDiscretePowerLaw(alpha, kmin)
+}
+
+// discretePowerLawNegLL is FitDiscretePowerLaw's objective over α.
+func discretePowerLawNegLL(tail []float64, kmin float64) func(alpha float64) float64 {
 	sumLog := 0.0
-	for _, x := range tail {
-		sumLog += math.Log(x)
+	for i := 0; i < len(tail); {
+		j := RunEnd(tail, i)
+		l := math.Log(tail[i])
+		for ; i < j; i++ {
+			sumLog += l
+		}
 	}
 	n := float64(len(tail))
-	negLL := func(alpha float64) float64 {
+	return func(alpha float64) float64 {
 		return alpha*sumLog + n*math.Log(HurwitzZeta(alpha, kmin))
 	}
-	alpha := GoldenSection(negLL, 1.0001, 8, 1e-6)
-	return NewDiscretePowerLaw(alpha, kmin)
 }
 
 // KSStatistic returns the Kolmogorov–Smirnov distance between the empirical
 // CDF of tail (which must be sorted ascending) and the model's conditional
 // CDF.
+//
+// The CDF is evaluated once per run of equal values (see RunEnd). Over a
+// run [i, j) it is one value m, compared with the empirical steps k/n for
+// k = i..j. Since k/n and then m − k/n are rounded monotonically in k,
+// |m − k/n| is largest at k = i or k = j, so testing those two gives the
+// per-point maximum exactly.
 func KSStatistic(sortedTail []float64, cdf func(float64) float64) float64 {
 	n := float64(len(sortedTail))
 	maxD := 0.0
-	for i, x := range sortedTail {
-		m := cdf(x)
+	for i := 0; i < len(sortedTail); {
+		j := RunEnd(sortedTail, i)
+		m := cdf(sortedTail[i])
 		lo := float64(i) / n
-		hi := float64(i+1) / n
+		hi := float64(j) / n
 		if d := math.Abs(m - lo); d > maxD {
 			maxD = d
 		}
 		if d := math.Abs(m - hi); d > maxD {
 			maxD = d
 		}
+		i = j
 	}
 	return maxD
 }

@@ -13,7 +13,8 @@ type TruncatedPowerLaw struct {
 	Lambda float64
 	Xmin   float64
 
-	logNorm float64 // cached log of the normalization constant
+	logNorm   float64 // cached log of the normalization constant
+	gammaXmin float64 // cached Γ(1-α, λ·xmin), the CDF's denominator
 }
 
 // NewTruncatedPowerLaw constructs the distribution with its normalization
@@ -22,8 +23,8 @@ func NewTruncatedPowerLaw(alpha, lambda, xmin float64) TruncatedPowerLaw {
 	t := TruncatedPowerLaw{Alpha: alpha, Lambda: lambda, Xmin: xmin}
 	// ∫_{xmin}^∞ x^-α e^-λx dx = λ^{α-1} Γ(1-α, λ·xmin), so the density is
 	// x^-α e^-λx · λ^{1-α} / Γ(1-α, λ·xmin).
-	g := UpperIncGamma(1-alpha, lambda*xmin)
-	t.logNorm = (1-alpha)*math.Log(lambda) - math.Log(g)
+	t.gammaXmin = UpperIncGamma(1-alpha, lambda*xmin)
+	t.logNorm = (1-alpha)*math.Log(lambda) - math.Log(t.gammaXmin)
 	return t
 }
 
@@ -48,8 +49,7 @@ func (t TruncatedPowerLaw) CDF(x float64) float64 {
 		return 0
 	}
 	num := UpperIncGamma(1-t.Alpha, t.Lambda*x)
-	den := UpperIncGamma(1-t.Alpha, t.Lambda*t.Xmin)
-	c := 1 - num/den
+	c := 1 - num/t.gammaXmin
 	if c < 0 {
 		return 0
 	}
@@ -61,8 +61,9 @@ func (t TruncatedPowerLaw) CDF(x float64) float64 {
 
 // FitTruncatedPowerLaw computes the MLE of (α, λ) on tail data >= xmin via
 // Nelder–Mead over (α, ln λ). Initialized from the pure power-law MLE with
-// a small cutoff. The objective is LogPDF summed over the tail with ln x
-// cached per fit, bit-identical to calling LogPDF.
+// a small cutoff. The objective is LogPDF summed over the tail, evaluated
+// once per run of equal values and added once per point, bit-identical to
+// calling LogPDF (see FitLognormalTail).
 func FitTruncatedPowerLaw(tail []float64, xmin float64) TruncatedPowerLaw {
 	pl := FitPowerLaw(tail, xmin)
 	mean := 0.0
@@ -91,9 +92,9 @@ func FitTruncatedPowerLaw(tail []float64, xmin float64) TruncatedPowerLaw {
 }
 
 // truncatedPowerLawNegLL is FitTruncatedPowerLaw's objective over
-// (α, ln λ). See FitLognormalTail for why ln x is cached.
+// (α, ln λ).
 func truncatedPowerLawNegLL(tail []float64, xmin float64) func(p []float64) float64 {
-	logs := logsOf(tail)
+	runs := logRunsOf(tail)
 	return func(p []float64) float64 {
 		alpha := p[0]
 		lambda := math.Exp(p[1])
@@ -105,11 +106,14 @@ func truncatedPowerLawNegLL(tail []float64, xmin float64) func(p []float64) floa
 			return math.MaxFloat64
 		}
 		ll := 0.0
-		for i, x := range tail {
-			if x < t.Xmin {
+		for _, r := range runs {
+			if r.x < t.Xmin {
 				return math.MaxFloat64
 			}
-			ll += t.logNorm - t.Alpha*logs[i] - t.Lambda*x
+			term := t.logNorm - t.Alpha*r.logX - t.Lambda*r.x
+			for k := 0; k < r.n; k++ {
+				ll += term
+			}
 		}
 		if math.IsNaN(ll) || math.IsInf(ll, 0) {
 			return math.MaxFloat64

@@ -54,9 +54,18 @@ func compare(tail []float64, d1, d2 dists.TailDist, nested bool) Comparison {
 		c.P = 1
 		return c
 	}
-	diffs := make([]float64, 0, n)
+	// Each log-likelihood difference is evaluated once per run of equal
+	// values and added once per point (see dists.RunEnd), so R and the
+	// variance below are bit-identical to the per-point sums.
+	type diffRun struct {
+		d float64
+		n int
+	}
+	var runs []diffRun
 	sum := 0.0
-	for _, x := range tail {
+	for i := 0; i < n; {
+		j := dists.RunEnd(tail, i)
+		x := tail[i]
 		d := d1.LogPDF(x) - d2.LogPDF(x)
 		if math.IsNaN(d) || math.IsInf(d, 0) {
 			// A point outside one family's support: clamp to a large
@@ -68,8 +77,10 @@ func compare(tail []float64, d1, d2 dists.TailDist, nested bool) Comparison {
 				d = -700
 			}
 		}
-		diffs = append(diffs, d)
-		sum += d
+		runs = append(runs, diffRun{d, j - i})
+		for ; i < j; i++ {
+			sum += d
+		}
 	}
 	c.R = sum
 	if nested {
@@ -87,9 +98,11 @@ func compare(tail []float64, d1, d2 dists.TailDist, nested bool) Comparison {
 	// differences; p = erfc(|R| / (sigma * sqrt(2 n))).
 	mean := sum / float64(n)
 	ss := 0.0
-	for _, d := range diffs {
-		dd := d - mean
-		ss += dd * dd
+	for _, r := range runs {
+		dd := r.d - mean
+		for k := 0; k < r.n; k++ {
+			ss += dd * dd
+		}
 	}
 	sigma := math.Sqrt(ss / float64(n))
 	if sigma == 0 {

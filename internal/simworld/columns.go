@@ -31,7 +31,7 @@ type Columns struct {
 }
 
 // GenreCell accessors for the packed histogram entries.
-func GenreCellIndex(cell uint32) int  { return int(cell >> 24) }
+func GenreCellIndex(cell uint32) int { return int(cell >> 24) }
 func GenreCellCount(cell uint32) int { return int(cell & 0xffffff) }
 
 // BuildColumns extracts the columnar view in two flat passes over the

@@ -161,7 +161,7 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 		want := sizes[g]
 		clear(memberSet)
 		deferred = deferred[:0]
-		grp.Members = memberSlab[slabOff:slabOff : slabOff+want]
+		grp.Members = memberSlab[slabOff : slabOff : slabOff+want]
 		slabOff += want
 		// A minority of focal groups are hardcore clans recruiting almost
 		// exclusively among the focal game's owners — the source of
@@ -245,7 +245,7 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 	off := 0
 	for i := 0; i < nUsers; i++ {
 		if c := int(perUser[i]); c > 0 {
-			u.Users[i].Groups = groupSlab[off:off : off+c]
+			u.Users[i].Groups = groupSlab[off : off : off+c]
 			off += c
 		}
 	}
