@@ -25,7 +25,7 @@ verify: build vet test race fsck
 	$(GO) test -tags scale -run '^$$' ./internal/scale
 	$(GO) build ./cmd/steamquery ./cmd/steamqueryload
 	$(GO) test -race ./internal/query
-	$(GO) test -race ./internal/dataset -run 'Stream|Shard|WriteUniverse|Merge'
+	$(GO) test -race ./internal/dataset -run 'Stream|Shard|WriteUniverse|Merge|Source|FromUniverse|Fsck|JSONLEncode'
 	$(GO) test -race ./internal/analysis -run 'StreamTable4'
 
 # chaos runs only the end-to-end fault-injection suite: a full crawl under

@@ -46,23 +46,9 @@ func Extract(s *dataset.Snapshot) *Vectors {
 		price[s.Games[i].AppID] = s.Games[i].PriceCents
 	}
 	for i := range s.Users {
-		u := &s.Users[i]
-		v.Games[i] = float64(len(u.Games))
-		v.Groups[i] = float64(len(u.Groups))
-		var tot, tw, val int64
-		played := 0
-		for _, g := range u.Games {
-			tot += g.TotalMinutes
-			tw += int64(g.TwoWeekMinutes)
-			val += price[g.AppID]
-			if g.TotalMinutes > 0 {
-				played++
-			}
-		}
-		v.Played[i] = float64(played)
-		v.TotalH[i] = float64(tot) / 60
-		v.TwoWkH[i] = float64(tw) / 60
-		v.ValueD[i] = float64(val) / 100
+		a := attrsOf(&s.Users[i], price)
+		v.Games[i], v.Played[i], v.Groups[i] = a.games, a.played, a.groups
+		v.TotalH[i], v.TwoWkH[i], v.ValueD[i] = a.totalH, a.twoWkH, a.valueD
 	}
 	edges := s.FriendshipEdges()
 	gedges := make([]graph.Edge, len(edges))
@@ -75,6 +61,27 @@ func Extract(s *dataset.Snapshot) *Vectors {
 		v.Friends[i] = float64(d)
 	}
 	return v
+}
+
+// userAttrs is one user's entries in the attribute columns.
+type userAttrs struct{ games, played, groups, totalH, twoWkH, valueD float64 }
+
+// attrsOf derives u's attribute entries, pricing its library with price.
+func attrsOf(u *dataset.UserRecord, price map[uint32]int64) userAttrs {
+	var tot, tw, val int64
+	played := 0
+	for _, g := range u.Games {
+		tot += g.TotalMinutes
+		tw += int64(g.TwoWeekMinutes)
+		val += price[g.AppID]
+		if g.TotalMinutes > 0 {
+			played++
+		}
+	}
+	return userAttrs{
+		games: float64(len(u.Games)), played: float64(played), groups: float64(len(u.Groups)),
+		totalH: float64(tot) / 60, twoWkH: float64(tw) / 60, valueD: float64(val) / 100,
+	}
 }
 
 // nonZero filters a column to its positive entries.

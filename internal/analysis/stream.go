@@ -1,7 +1,7 @@
 // Out-of-core Table 4. StandardTable4Inputs needs Extract's Vectors — a
 // fully loaded snapshot plus the friendship graph. At paper scale the
-// snapshot does not fit in memory, so StreamTable4Inputs builds the same
-// row set from the streaming section readers instead: one pass over the
+// snapshot does not fit in memory, so StreamTable4Inputs fills the same
+// columns from the streaming section readers instead: one pass over the
 // catalog (prices), one over the users (attribute columns and per-year
 // friend counts), one over the groups (sizes). Only the positive-valued
 // Table 4 vectors are materialized — for a sharded snapshot directory
@@ -11,18 +11,7 @@ package analysis
 
 import (
 	"steamstudy/internal/dataset"
-	"steamstudy/internal/stats"
 )
-
-// t4Columns are the streamed equivalents of the Vectors columns Table 4
-// consumes, already filtered to positive values (what nonZero and
-// positiveInts produce on the in-memory path, in the same user order).
-type t4Columns struct {
-	valueD, totalH, twoWkH []float64
-	games, played, groups  []float64
-	sizes                  []float64
-	through, only          [][]float64 // one slot per requested year
-}
 
 // StreamTable4Inputs builds exactly StandardTable4Inputs' row set — same
 // names, order, data values and FixedXmin policy — by streaming the
@@ -31,70 +20,29 @@ type t4Columns struct {
 // lists stand in for graph degrees, which matches the graph-based path
 // only when friendships are symmetric with agreeing timestamps (fsck
 // verifies exactly that).
-func StreamTable4Inputs(path, secondPath string, years []int, opts ...dataset.Option) ([]Table4Input, error) {
-	c, err := streamT4Columns(path, years, opts)
+func StreamTable4Inputs(path, secondPath string, years []int) ([]Table4Input, error) {
+	c, err := streamT4Columns(path, years)
 	if err != nil {
 		return nil, err
 	}
-
-	var inputs []Table4Input
-	add := func(name string, data []float64, discrete bool) {
-		in := Table4Input{Name: name, Data: data, Discrete: discrete}
-		if discrete {
-			in.FixedXmin = 1
-		} else {
-			// Same bulk-of-support policy as StandardTable4Inputs.
-			in.FixedXmin = stats.Percentile(data, 5)
-		}
-		inputs = append(inputs, in)
-	}
-	add("Account market values", c.valueD, false)
-	add("Total playtime", c.totalH, false)
-	add("Two-week playtime", c.twoWkH, false)
-	add("Game ownership", c.games, true)
-	add("Played game ownership", c.played, true)
-	add("Group membership per user", c.groups, true)
-	add("Group size", c.sizes, true)
-
+	var c2 *t4Columns
 	if secondPath != "" {
-		s2, err := streamT4Columns(secondPath, nil, opts)
-		if err != nil {
+		if c2, err = streamT4Columns(secondPath, nil); err != nil {
 			return nil, err
 		}
-		add("Account market values (second snapshot)", s2.valueD, false)
-		add("Total playtime (second snapshot)", s2.totalH, false)
-		add("Two-week playtime (second snapshot)", s2.twoWkH, false)
-		add("Game ownership (second snapshot)", s2.games, true)
-		add("Played game ownership (second snapshot)", s2.played, true)
 	}
-
-	for yi, y := range years {
-		add("Friendship (through "+itoa(y)+")", c.through[yi], true)
-		add("Friendship ("+itoa(y)+" only)", c.only[yi], true)
-	}
-	return inputs, nil
+	return table4Rows(c, c2, years), nil
 }
 
-func streamT4Columns(path string, years []int, opts []dataset.Option) (*t4Columns, error) {
+// streamT4Columns is the streaming column producer (see vectorColumns
+// for why it is not the in-memory one).
+func streamT4Columns(path string, years []int) (*t4Columns, error) {
 	// Catalog pass: storefront prices for the market-value column.
 	price := make(map[uint32]int64)
-	gr, err := dataset.OpenSection(path, dataset.SectionGames, opts...)
-	if err != nil {
-		return nil, err
-	}
-	var rec dataset.Record
-	for {
-		ok, err := gr.Next(&rec)
-		if err != nil {
-			gr.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	err := eachRecord(path, dataset.SectionGames, func(rec *dataset.Record) {
 		price[rec.Game.AppID] = rec.Game.PriceCents
-	}
-	if err := gr.Close(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -112,51 +60,17 @@ func streamT4Columns(path string, years []int, opts []dataset.Option) (*t4Column
 		loCut[yi] = endOfYear(y - 1)
 	}
 
-	ur, err := dataset.OpenSection(path, dataset.SectionUsers, opts...)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		ok, err := ur.Next(&rec)
-		if err != nil {
-			ur.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		u := &rec.User
-		if len(u.Games) > 0 {
-			c.games = append(c.games, float64(len(u.Games)))
-		}
-		if len(u.Groups) > 0 {
-			c.groups = append(c.groups, float64(len(u.Groups)))
-		}
-		var tot, tw, val int64
-		played := 0
-		for _, g := range u.Games {
-			tot += g.TotalMinutes
-			tw += int64(g.TwoWeekMinutes)
-			val += price[g.AppID]
-			if g.TotalMinutes > 0 {
-				played++
-			}
-		}
-		if played > 0 {
-			c.played = append(c.played, float64(played))
-		}
-		if tot > 0 {
-			c.totalH = append(c.totalH, float64(tot)/60)
-		}
-		if tw > 0 {
-			c.twoWkH = append(c.twoWkH, float64(tw)/60)
-		}
-		if val > 0 {
-			c.valueD = append(c.valueD, float64(val)/100)
-		}
+	err = eachRecord(path, dataset.SectionUsers, func(rec *dataset.Record) {
+		a := attrsOf(&rec.User, price)
+		appendPositive(&c.valueD, a.valueD)
+		appendPositive(&c.totalH, a.totalH)
+		appendPositive(&c.twoWkH, a.twoWkH)
+		appendPositive(&c.games, a.games)
+		appendPositive(&c.played, a.played)
+		appendPositive(&c.groups, a.groups)
 		for yi := range years {
 			through, within := 0, 0
-			for _, f := range u.Friends {
+			for _, f := range rec.User.Friends {
 				if f.Since < hiCut[yi] {
 					through++
 					if f.Since >= loCut[yi] {
@@ -164,37 +78,47 @@ func streamT4Columns(path string, years []int, opts []dataset.Option) (*t4Column
 					}
 				}
 			}
-			if through > 0 {
-				c.through[yi] = append(c.through[yi], float64(through))
-			}
-			if within > 0 {
-				c.only[yi] = append(c.only[yi], float64(within))
-			}
+			appendPositive(&c.through[yi], float64(through))
+			appendPositive(&c.only[yi], float64(within))
 		}
-	}
-	if err := ur.Close(); err != nil {
-		return nil, err
-	}
-
-	pr, err := dataset.OpenSection(path, dataset.SectionGroups, opts...)
+	})
 	if err != nil {
 		return nil, err
 	}
-	for {
-		ok, err := pr.Next(&rec)
-		if err != nil {
-			pr.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if n := len(rec.Group.Members); n > 0 {
-			c.sizes = append(c.sizes, float64(n))
-		}
-	}
-	if err := pr.Close(); err != nil {
+
+	err = eachRecord(path, dataset.SectionGroups, func(rec *dataset.Record) {
+		appendPositive(&c.sizes, float64(len(rec.Group.Members)))
+	})
+	if err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// eachRecord passes every record of one section of the snapshot at path
+// to fn.
+func eachRecord(path, section string, fn func(*dataset.Record)) error {
+	r, err := dataset.OpenSection(path, section)
+	if err != nil {
+		return err
+	}
+	var rec dataset.Record
+	for {
+		ok, err := r.Next(&rec)
+		if err != nil {
+			r.Close()
+			return err
+		}
+		if !ok {
+			return r.Close()
+		}
+		fn(&rec)
+	}
+}
+
+// appendPositive appends x to *col when x > 0, as nonZero would keep it.
+func appendPositive(col *[]float64, x float64) {
+	if x > 0 {
+		*col = append(*col, x)
+	}
 }

@@ -208,6 +208,47 @@ func Table4Classification(inputs []Table4Input, workers int) []ClassificationRow
 // snapshots (the second-snapshot rows are included when second != nil),
 // plus per-year friendship distributions derived from edge timestamps.
 func StandardTable4Inputs(v *Vectors, second *Vectors, years []int) []Table4Input {
+	var c2 *t4Columns
+	if second != nil {
+		c2 = vectorColumns(second, nil)
+	}
+	return table4Rows(vectorColumns(v, years), c2, years)
+}
+
+// t4Columns are the Vectors columns Table 4 consumes, filtered to
+// positive values, in user order.
+type t4Columns struct {
+	valueD, totalH, twoWkH []float64
+	games, played, groups  []float64
+	sizes                  []float64
+	through, only          [][]float64 // one slot per requested year
+}
+
+// vectorColumns is the in-memory column producer. Its friendship columns
+// are graph degrees, which drop dangling friend entries and entries only
+// one side lists (FriendshipEdges); StreamTable4Inputs' producer counts
+// friend-list entries instead. The two agree only on fsck-clean
+// snapshots, so they stay separate producers.
+func vectorColumns(v *Vectors, years []int) *t4Columns {
+	c := &t4Columns{
+		valueD: nonZero(v.ValueD), totalH: nonZero(v.TotalH), twoWkH: nonZero(v.TwoWkH),
+		games: nonZero(v.Games), played: nonZero(v.Played), groups: nonZero(v.Groups),
+		through: make([][]float64, len(years)),
+		only:    make([][]float64, len(years)),
+	}
+	for i := range v.Snap.Groups {
+		appendPositive(&c.sizes, float64(len(v.Snap.Groups[i].Members)))
+	}
+	for yi, y := range years {
+		c.through[yi] = positiveInts(v.G.DegreesAt(endOfYear(y)))
+		c.only[yi] = positiveInts(v.G.DegreesAdded(endOfYear(y-1), endOfYear(y)))
+	}
+	return c
+}
+
+// table4Rows is Table 4's row list: names, order and the FixedXmin policy
+// over c's columns, with second's attribute rows when second != nil.
+func table4Rows(c, second *t4Columns, years []int) []Table4Input {
 	var inputs []Table4Input
 	add := func(name string, data []float64, discrete bool) {
 		in := Table4Input{Name: name, Data: data, Discrete: discrete}
@@ -222,35 +263,25 @@ func StandardTable4Inputs(v *Vectors, second *Vectors, years []int) []Table4Inpu
 		}
 		inputs = append(inputs, in)
 	}
-	add("Account market values", nonZero(v.ValueD), false)
-	add("Total playtime", nonZero(v.TotalH), false)
-	add("Two-week playtime", nonZero(v.TwoWkH), false)
-	add("Game ownership", nonZero(v.Games), true)
-	add("Played game ownership", nonZero(v.Played), true)
-	add("Group membership per user", nonZero(v.Groups), true)
-
-	// Group sizes.
-	var sizes []float64
-	for i := range v.Snap.Groups {
-		if n := len(v.Snap.Groups[i].Members); n > 0 {
-			sizes = append(sizes, float64(n))
-		}
-	}
-	add("Group size", sizes, true)
+	add("Account market values", c.valueD, false)
+	add("Total playtime", c.totalH, false)
+	add("Two-week playtime", c.twoWkH, false)
+	add("Game ownership", c.games, true)
+	add("Played game ownership", c.played, true)
+	add("Group membership per user", c.groups, true)
+	add("Group size", c.sizes, true)
 
 	if second != nil {
-		add("Account market values (second snapshot)", nonZero(second.ValueD), false)
-		add("Total playtime (second snapshot)", nonZero(second.TotalH), false)
-		add("Two-week playtime (second snapshot)", nonZero(second.TwoWkH), false)
-		add("Game ownership (second snapshot)", nonZero(second.Games), true)
-		add("Played game ownership (second snapshot)", nonZero(second.Played), true)
+		add("Account market values (second snapshot)", second.valueD, false)
+		add("Total playtime (second snapshot)", second.totalH, false)
+		add("Two-week playtime (second snapshot)", second.twoWkH, false)
+		add("Game ownership (second snapshot)", second.games, true)
+		add("Played game ownership (second snapshot)", second.played, true)
 	}
 
-	for _, y := range years {
-		cum := v.G.DegreesAt(endOfYear(y))
-		add("Friendship (through "+itoa(y)+")", positiveInts(cum), true)
-		yearly := v.G.DegreesAdded(endOfYear(y-1), endOfYear(y))
-		add("Friendship ("+itoa(y)+" only)", positiveInts(yearly), true)
+	for yi, y := range years {
+		add("Friendship (through "+itoa(y)+")", c.through[yi], true)
+		add("Friendship ("+itoa(y)+" only)", c.only[yi], true)
 	}
 	return inputs
 }

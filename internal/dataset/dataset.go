@@ -189,18 +189,8 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("dataset: duplicate user %d", u.SteamID)
 		}
 		seen[u.SteamID] = true
-		gameSeen := map[uint32]bool{}
-		for _, g := range u.Games {
-			if gameSeen[g.AppID] {
-				return fmt.Errorf("dataset: user %d owns app %d twice", u.SteamID, g.AppID)
-			}
-			gameSeen[g.AppID] = true
-			if int64(g.TwoWeekMinutes) > g.TotalMinutes {
-				return fmt.Errorf("dataset: user %d app %d two-week exceeds lifetime", u.SteamID, g.AppID)
-			}
-			if g.TotalMinutes < 0 || g.TwoWeekMinutes < 0 {
-				return fmt.Errorf("dataset: user %d app %d negative playtime", u.SteamID, g.AppID)
-			}
+		if err := checkUser(u); err != nil {
+			return err
 		}
 	}
 	apps := make(map[uint32]bool, len(s.Games))
@@ -209,6 +199,26 @@ func (s *Snapshot) Validate() error {
 			return fmt.Errorf("dataset: duplicate app %d", s.Games[i].AppID)
 		}
 		apps[s.Games[i].AppID] = true
+	}
+	return nil
+}
+
+// checkUser checks one user's library: no app owned twice, and playtimes
+// non-negative with two-week within lifetime. The merge, whose parts are
+// never validated, checks every user it emits with it.
+func checkUser(u *UserRecord) error {
+	seen := make(map[uint32]bool, len(u.Games))
+	for _, g := range u.Games {
+		if seen[g.AppID] {
+			return fmt.Errorf("dataset: user %d owns app %d twice", u.SteamID, g.AppID)
+		}
+		seen[g.AppID] = true
+		if int64(g.TwoWeekMinutes) > g.TotalMinutes {
+			return fmt.Errorf("dataset: user %d app %d two-week exceeds lifetime", u.SteamID, g.AppID)
+		}
+		if g.TotalMinutes < 0 || g.TwoWeekMinutes < 0 {
+			return fmt.Errorf("dataset: user %d app %d negative playtime", u.SteamID, g.AppID)
+		}
 	}
 	return nil
 }

@@ -172,7 +172,7 @@ func TestMergeDisjointParts(t *testing.T) {
 	mid := len(s.Users) / 2
 	a := &Snapshot{CollectedAt: 100, Users: s.Users[:mid], Games: s.Games, Groups: s.Groups}
 	b := &Snapshot{CollectedAt: 200, Users: s.Users[mid:], Games: s.Games, Groups: s.Groups}
-	merged, err := Merge(a, b)
+	merged, err := MergeAt(200, []*Snapshot{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestMergeLaterPartSupersedes(t *testing.T) {
 	updated.Games = append(append([]OwnershipRecord{}, updated.Games...),
 		OwnershipRecord{AppID: s.Games[len(s.Games)-1].AppID + 1000, TotalMinutes: 5})
 	newer.Users = []UserRecord{updated}
-	merged, err := Merge(&old, newer)
+	merged, err := MergeAt(newer.CollectedAt, []*Snapshot{&old, newer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestMergeLaterPartSupersedes(t *testing.T) {
 func TestMergeGroupMemberUnion(t *testing.T) {
 	a := &Snapshot{Groups: []GroupRecord{{GID: 7, Members: []uint64{1, 2}}}}
 	b := &Snapshot{Groups: []GroupRecord{{GID: 7, Type: "Game Server", Members: []uint64{2, 3}}}}
-	merged, err := Merge(a, b)
+	merged, err := MergeAt(0, []*Snapshot{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +230,10 @@ func TestMergeGroupMemberUnion(t *testing.T) {
 }
 
 func TestMergeRejectsEmpty(t *testing.T) {
-	if _, err := Merge(); err == nil {
+	if _, err := MergeAt(0, nil); err == nil {
 		t.Fatal("empty merge accepted")
 	}
-	if m, err := Merge(nil, testSnapshot(t)); err != nil || len(m.Users) == 0 {
+	if m, err := MergeAt(0, []*Snapshot{nil, testSnapshot(t)}); err != nil || len(m.Users) == 0 {
 		t.Fatalf("nil part not skipped: %v", err)
 	}
 }

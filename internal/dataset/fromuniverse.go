@@ -1,7 +1,7 @@
 package dataset
 
 import (
-	"strconv"
+	"slices"
 
 	"steamstudy/internal/simworld"
 )
@@ -9,87 +9,27 @@ import (
 // FromUniverse extracts the ground-truth snapshot of a synthetic universe,
 // bypassing the API/crawler path. Analyses accept either this or a crawled
 // snapshot; the crawler integration tests assert the two are identical.
+// It collects the universe source, cloning the cursor's scratch lists
+// (an empty list stays nil).
 func FromUniverse(u *simworld.Universe) *Snapshot {
-	s := &Snapshot{CollectedAt: u.CollectedAt}
-
-	s.Games = make([]GameRecord, len(u.Games))
-	for i := range u.Games {
-		g := &u.Games[i]
-		rec := GameRecord{
-			AppID:       g.AppID,
-			Name:        g.Name,
-			Type:        g.Type.String(),
-			Genres:      g.Genres.Names(),
-			Multiplayer: g.Multiplayer,
-			PriceCents:  g.PriceCents,
-			Metacritic:  g.Metacritic,
-			ReleaseYear: g.ReleaseYear,
-			Developer:   g.Developer,
-		}
-		for _, a := range g.Achievements {
-			rec.Achievements = append(rec.Achievements, AchievementRecord{
-				Name: a.Name, Percent: a.GlobalPercent,
-			})
-		}
-		s.Games[i] = rec
+	s := &Snapshot{
+		CollectedAt: u.CollectedAt,
+		Games:       make([]GameRecord, 0, len(u.Games)),
+		Users:       make([]UserRecord, 0, len(u.Users)),
+		Groups:      make([]GroupRecord, 0, len(u.Groups)),
 	}
-
-	adj := u.Adjacency()
-	// Edge timestamps, addressable per pair.
-	since := make(map[uint64]int64, len(u.Friendships))
-	for _, f := range u.Friendships {
-		since[edgeKey(f.A, f.B)] = f.Since
-	}
-
-	s.Users = make([]UserRecord, len(u.Users))
-	for i := range u.Users {
-		user := &u.Users[i]
-		rec := UserRecord{
-			SteamID: uint64(user.ID),
-			Created: user.Created,
-			Country: user.Country,
-			City:    user.City,
-		}
-		for _, j := range adj[i] {
-			rec.Friends = append(rec.Friends, FriendRecord{
-				SteamID: uint64(u.Users[j].ID),
-				Since:   since[edgeKey(int32(i), j)],
-			})
-		}
-		for _, g := range user.Library {
-			rec.Games = append(rec.Games, OwnershipRecord{
-				AppID:          u.Games[g.GameIdx].AppID,
-				TotalMinutes:   g.TotalMinutes,
-				TwoWeekMinutes: g.TwoWeekMinutes,
-			})
-		}
-		for _, g := range user.Groups {
-			rec.Groups = append(rec.Groups, u.Groups[g].ID)
-		}
-		s.Users[i] = rec
-	}
-
-	s.Groups = make([]GroupRecord, len(u.Groups))
-	for i := range u.Groups {
-		g := &u.Groups[i]
-		rec := GroupRecord{
-			GID:  g.ID,
-			Name: g.Name,
-			Type: g.Type.String(),
-		}
-		for _, m := range g.Members {
-			rec.Members = append(rec.Members, uint64(u.Users[m].ID))
-		}
-		s.Groups[i] = rec
-	}
+	_ = s.collect(universeSource(u), (*Record).cloneLists) // the universe source cannot fail
 	return s
 }
 
-func edgeKey(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(uint32(b))
+// cloneLists gives rec's lists their own backing arrays: every list the
+// universe cursor reuses, which is all but a game's Genres.
+func (rec *Record) cloneLists() {
+	rec.Game.Achievements = slices.Clone(rec.Game.Achievements)
+	rec.User.Friends = slices.Clone(rec.User.Friends)
+	rec.User.Games = slices.Clone(rec.User.Games)
+	rec.User.Groups = slices.Clone(rec.User.Groups)
+	rec.Group.Members = slices.Clone(rec.Group.Members)
 }
 
 // GroupTypeNames lists the Table 2 type labels in display order, exposed
@@ -109,6 +49,3 @@ var GenreNames = func() []string {
 	copy(out, simworld.GenreNames[:])
 	return out
 }()
-
-// FormatGID renders a group ID the way the API does.
-func FormatGID(gid uint64) string { return strconv.FormatUint(gid, 10) }

@@ -186,12 +186,10 @@ func (m *IntegrityMetrics) Register(r *obs.Registry) {
 // damaged snapshot yields counts per violation class, which is what
 // decides between re-crawling and journal repair. The checks are
 // fsckScan's, run over the snapshot's slices, so the report equals what
-// FsckFile produces for the same records on disk. Options are accepted
-// for pipeline uniformity; an in-memory scan has nothing to report
-// progress on.
-func (s *Snapshot) Fsck(opts ...Option) *Report {
+// FsckFile produces for the same records on disk.
+func (s *Snapshot) Fsck() *Report {
 	r := newReport()
-	st, _ := fsckScan(s.sections, nil) // the in-memory source cannot fail
+	st, _ := fsckScan(s.source, nil) // the in-memory source cannot fail
 	st.into(r, nil)
 	return r
 }
@@ -247,11 +245,11 @@ func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error)
 	var st *fsckScanState
 	var derr error
 	if sharded {
-		st, derr = fsckScan(dirSections(path, o), man)
+		st, derr = fsckScan(fileSections(path, false, o), man)
 	} else if s, err := readPartial(path, o); err != nil {
 		st, derr = &fsckScanState{users: len(s.Users), games: len(s.Games), groups: len(s.Groups)}, err
 	} else {
-		st, derr = fsckScan(s.sections, man)
+		st, derr = fsckScan(s.source, man)
 	}
 	if derr != nil {
 		// A decode failure reports the shape seen so far and the decode
@@ -269,12 +267,12 @@ func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error)
 // readPartial collects a single file with the tolerant Reader. On error
 // the snapshot holds the records read before it.
 func readPartial(path string, o options) (*Snapshot, error) {
-	r, err := openReader(path, 0, false, o)
+	r, err := openReader(path, "", false, o)
 	if err != nil {
 		return &Snapshot{}, err
 	}
 	defer r.Close()
-	return r.collect([3]int{})
+	return readAll(r, [3]int{})
 }
 
 func fsckRecordMetrics(r *Report, m *IntegrityMetrics) {

@@ -1,7 +1,7 @@
 // The fsck checker. fsckScan runs every referential check as a few
-// ordered passes over a section source — a sharded directory streamed
-// through the Reader, or a snapshot's in-memory slices — decoding each
-// section of a directory at most twice:
+// ordered passes over a record source (source.go) — a sharded directory
+// streamed through the Reader, or a snapshot's in-memory slices —
+// decoding each section of a directory at most twice:
 //
 //	games        catalog set, duplicate detection, canonical CRC
 //	groups #1    member-set index (sorted copies), duplicates, CRC
@@ -111,65 +111,6 @@ func (st *fsckScanState) into(r *Report, man *Manifest) {
 	r.merge(st.sub)
 }
 
-// sectionSource streams one section's records, in record order, to fn
-// and returns the header's CollectedAt. fsckScan reads games once and
-// users once, but groups twice.
-type sectionSource func(section string, fn func(*Record)) (collectedAt int64, err error)
-
-// sections is the in-memory section source.
-func (s *Snapshot) sections(section string, fn func(*Record)) (int64, error) {
-	var rec Record
-	switch section {
-	case sectionGames:
-		rec.Kind = KindGame
-		for i := range s.Games {
-			rec.Game = s.Games[i]
-			fn(&rec)
-		}
-	case sectionUsers:
-		rec.Kind = KindUser
-		for i := range s.Users {
-			rec.User = s.Users[i]
-			fn(&rec)
-		}
-	case sectionGroups:
-		rec.Kind = KindGroup
-		for i := range s.Groups {
-			rec.Group = s.Groups[i]
-			fn(&rec)
-		}
-	}
-	return s.CollectedAt, nil
-}
-
-// dirSections is the section source over a sharded directory. Segment
-// verification is off (verifyShardBytes already judged the bytes), and
-// progress is reported from the first read of each section only, so its
-// counts never decrease.
-func dirSections(path string, o options) sectionSource {
-	read := map[string]bool{}
-	return func(section string, fn func(*Record)) (int64, error) {
-		var ro options
-		if !read[section] {
-			read[section] = true
-			ro.progress = o.progress
-		}
-		r, err := openReader(path, sectionFilter(section), false, ro)
-		if err != nil {
-			return 0, err
-		}
-		defer r.Close()
-		var rec Record
-		for {
-			ok, err := r.Next(&rec)
-			if err != nil || !ok {
-				return r.CollectedAt(), err
-			}
-			fn(&rec)
-		}
-	}
-}
-
 // idCensus is the streaming stand-in for the in-memory userAt map: every
 // streamed SteamID in record order, plus a (sorted id, position) view for
 // binary-search lookups. For duplicate IDs find returns the first
@@ -268,7 +209,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	// Games: catalog census, duplicates, canonical checksum.
 	apps := make(map[uint32]bool, est(sectionGames))
 	var c canon
-	collectedAt, err := src(sectionGames, func(rec *Record) {
+	collectedAt, err := each(src, sectionGames, func(rec *Record) error {
 		g := &rec.Game
 		if sum {
 			c.game(g)
@@ -276,9 +217,9 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 		st.games++
 		if apps[g.AppID] {
 			st.sub.add(ViolationDuplicateGame, "app %d appears more than once in the catalog", g.AppID)
-			return
 		}
 		apps[g.AppID] = true
+		return nil
 	})
 	st.collectedAt = collectedAt
 	if err != nil {
@@ -295,7 +236,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	var members [][]uint64
 	groupSeen := make(map[uint64]bool, est(sectionGroups))
 	c = canon{}
-	_, err = src(sectionGroups, func(rec *Record) {
+	_, err = each(src, sectionGroups, func(rec *Record) error {
 		g := &rec.Group
 		if sum {
 			c.group(g)
@@ -309,6 +250,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 		}
 		groupSeen[g.GID] = true
 		st.groups++
+		return nil
 	})
 	if err != nil {
 		return st, err
@@ -329,7 +271,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	)
 	owned := make(map[uint32]int32)
 	c = canon{}
-	_, err = src(sectionUsers, func(rec *Record) {
+	_, err = each(src, sectionUsers, func(rec *Record) error {
 		u := &rec.User
 		i := int32(st.users)
 		if sum {
@@ -368,6 +310,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 			}
 			pairs = append(pairs, packPair(i, gi))
 		}
+		return nil
 	})
 	if err != nil {
 		return st, err
@@ -440,7 +383,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	// resolves the group's GID through gidIndex so duplicate GIDs match a
 	// user listing that GID value, exactly as the in-memory check
 	// compares GID values.
-	_, err = src(sectionGroups, func(rec *Record) {
+	_, err = each(src, sectionGroups, func(rec *Record) error {
 		g := &rec.Group
 		st.sub.RecordsVerified++
 		gi := gidIndex[g.GID]
@@ -454,6 +397,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 				st.sub.add(ViolationMembershipAsymmetric, "group %d lists user %d but the user does not list the group", g.GID, m)
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return st, err

@@ -48,6 +48,10 @@ func appendString(b []byte, s string) []byte {
 			switch c {
 			case '\\', '"':
 				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
 			case '\n':
 				b = append(b, '\\', 'n')
 			case '\r':

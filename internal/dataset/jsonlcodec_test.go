@@ -23,7 +23,7 @@ func nastySnapshot() *Snapshot {
 		"plain ascii",
 		`<script>alert("x&y")</script>`,
 		"back\\slash \"quote\"",
-		"newline\ntab\tcr\rbell\x01",
+		"newline\ntab\tcr\rbell\x01 backspace\b formfeed\f",
 		"del\x7fchar",
 		"invalid \xff utf8 \x80 bytes",
 		"line\u2028and\u2029separators",

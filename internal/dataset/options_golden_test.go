@@ -86,48 +86,3 @@ func TestOptionsGoldenRoundTrip(t *testing.T) {
 		t.Errorf("re-saved manifest differs from committed manifest:\ngot  %+v\nwant %+v", got, committed)
 	}
 }
-
-// TestMergeAtOptions proves MergeAt's options are observational too: the
-// merged snapshot is identical with and without them, and the progress
-// callback sees monotonically non-decreasing per-section counts ending at
-// the final section sizes.
-func TestMergeAtOptions(t *testing.T) {
-	snap, err := Load(filepath.Join("testdata", "example.snap.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(snap.Users) / 2
-	lo := &Snapshot{CollectedAt: snap.CollectedAt, Users: snap.Users[:half], Games: snap.Games, Groups: snap.Groups}
-	hi := &Snapshot{CollectedAt: snap.CollectedAt, Users: snap.Users[half:], Games: snap.Games, Groups: snap.Groups}
-	parts := []*Snapshot{lo, hi}
-
-	plain, err := MergeAt(42, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := map[string]int{}
-	withOpts, err := MergeAt(42, parts, WithProgress(func(section string, records int) {
-		if records < last[section] {
-			t.Errorf("progress for %s went backwards: %d then %d", section, last[section], records)
-		}
-		last[section] = records
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, withOpts) {
-		t.Error("MergeAt result differs with options")
-	}
-	if sig1, sig2 := plain.ContentSignature(), withOpts.ContentSignature(); sig1 != sig2 {
-		t.Errorf("content signatures differ: %s vs %s", sig1, sig2)
-	}
-	if last["users"] != len(withOpts.Users) {
-		t.Errorf("final users progress %d, merged has %d", last["users"], len(withOpts.Users))
-	}
-	if last["games"] != len(withOpts.Games) {
-		t.Errorf("final games progress %d, merged has %d", last["games"], len(withOpts.Games))
-	}
-	if last["groups"] != len(withOpts.Groups) {
-		t.Errorf("final groups progress %d, merged has %d", last["groups"], len(withOpts.Groups))
-	}
-}

@@ -73,28 +73,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // WithProgress reports per-section record counts as they are encoded.
 // No option changes the bytes of a single-file snapshot.
 func (s *Snapshot) Save(path string, opts ...Option) error {
-	w, err := NewWriter(path, s.CollectedAt, opts...)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
-	for i := range s.Games {
-		if err := w.WriteGame(&s.Games[i]); err != nil {
-			return err
-		}
-	}
-	for i := range s.Users {
-		if err := w.WriteUser(&s.Users[i]); err != nil {
-			return err
-		}
-	}
-	for i := range s.Groups {
-		if err := w.WriteGroup(&s.Groups[i]); err != nil {
-			return err
-		}
-	}
-	_, err = w.Close()
-	return err
+	return writeSource(path, s.CollectedAt, s.source, opts)
 }
 
 // syncDir fsyncs a directory so a just-completed rename survives power
@@ -151,12 +130,12 @@ func Load(path string, opts ...Option) (*Snapshot, error) {
 	if man != nil && hashErr == nil {
 		hint = man.recordHints()
 	}
-	r, err := openReader(path, 0, true, buildOptions(opts))
+	r, err := openReader(path, "", true, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	s, err := r.collect(hint)
+	s, err := readAll(r, hint)
 	if err != nil {
 		if hashErr != nil {
 			return nil, fmt.Errorf("%w (raw-byte check also failed: %v)", err, hashErr)

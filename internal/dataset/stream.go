@@ -10,12 +10,12 @@
 // algorithms (streaming fsck, the Table 4 extraction) open a section
 // several times instead of decoding the snapshot once into memory.
 //
-// These are the only snapshot code path: Save drains a Snapshot into a
-// Writer, Load collects one from a Reader, and fsck scans sections
-// through the same Reader (fsckstream.go). Byte identity: a sharded
-// directory's concatenated segments are byte-identical to the single
-// ".jsonl" file holding the same records, and the manifests agree on
-// every section checksum and on FileSHA256.
+// These are the only snapshot code path: the Reader is the file producer
+// of the record source (source.go), and every write drains a source into
+// a Writer. Byte identity: a sharded directory's concatenated segments
+// are byte-identical to the single ".jsonl" file holding the same
+// records, and the manifests agree on every section checksum and on
+// FileSHA256.
 
 package dataset
 
@@ -203,6 +203,18 @@ func (w *Writer) WriteUser(u *UserRecord) error {
 // WriteGroup appends one community-group record.
 func (w *Writer) WriteGroup(g *GroupRecord) error {
 	return w.write(2, func(b []byte) ([]byte, error) { return appendGroupLine(b, g) }, func(c *canon) { c.group(g) })
+}
+
+// writeRecord appends rec to the section its Kind names.
+func (w *Writer) writeRecord(rec *Record) error {
+	switch rec.Kind {
+	case KindGame:
+		return w.WriteGame(&rec.Game)
+	case KindUser:
+		return w.WriteUser(&rec.User)
+	default:
+		return w.WriteGroup(&rec.Group)
+	}
 }
 
 func (w *Writer) write(sec int, enc func([]byte) ([]byte, error), sum func(*canon)) error {
@@ -549,7 +561,7 @@ type Reader struct {
 // slices' lifetime). Options: WithProgress reports per-section decoded
 // record counts.
 func OpenReader(path string, opts ...Option) (*Reader, error) {
-	return openReader(path, 0, true, buildOptions(opts))
+	return openReader(path, "", true, buildOptions(opts))
 }
 
 // Exported section names for OpenSection.
@@ -565,44 +577,31 @@ const (
 // that section's segments. Options: WithProgress reports the section's
 // decoded record count.
 func OpenSection(path, section string, opts ...Option) (*Reader, error) {
-	filter := sectionFilter(section)
-	if filter == 0 {
-		return nil, fmt.Errorf("dataset: unknown snapshot section %q", section)
+	if _, err := sectionKind(section); err != nil {
+		return nil, err
 	}
-	return openReader(path, filter, true, buildOptions(opts))
+	return openReader(path, section, true, buildOptions(opts))
 }
 
-// sectionFilter maps a section name to its decoded-line kind, 0 if
-// unknown.
-func sectionFilter(section string) byte {
-	switch section {
-	case sectionGames:
-		return 'g'
-	case sectionUsers:
-		return 'u'
-	case sectionGroups:
-		return 'p'
-	}
-	return 0
-}
-
-// openReader opens a reader over the sections filter selects (0 = every
-// section). With verify off — fsck's accumulate-everything mode — a
+// openReader opens a reader over one section, or every section when
+// section is "". With verify off — fsck's accumulate-everything mode — a
 // corrupt manifest, a too-new format version or a per-segment checksum
 // mismatch does not stop the read: fsck's structural pass has already
 // recorded them, and it still wants every decodable record.
-func openReader(path string, filter byte, verify bool, o options) (*Reader, error) {
+func openReader(path, section string, verify bool, o options) (*Reader, error) {
 	gzipped, sharded, err := snapshotPath(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{path: path, sharded: sharded, gzipped: gzipped, filter: filter}
+	r := &Reader{path: path, sharded: sharded, gzipped: gzipped}
 	r.prog.fn = o.progress
-	if fn := o.progress; fn != nil && filter != 0 {
-		only := sectionName(filter)
-		r.prog.fn = func(section string, records int) {
-			if section == only {
-				fn(section, records)
+	if kind, _ := sectionKind(section); kind != 0 {
+		r.filter = "gup"[kind-1] // the decoder's line kind for the section
+		if fn := o.progress; fn != nil {
+			r.prog.fn = func(s string, records int) {
+				if s == section {
+					fn(s, records)
+				}
 			}
 		}
 	}
@@ -628,11 +627,11 @@ func openReader(path string, filter byte, verify bool, o options) (*Reader, erro
 	// Keep the header plus the wanted sections. An unfiltered read hashes
 	// the concatenated stream for whole-snapshot verification.
 	for _, seg := range segs {
-		if filter == 0 || seg.section == sectionHeader || seg.section == sectionName(filter) {
+		if section == "" || seg.section == sectionHeader || seg.section == section {
 			r.segs = append(r.segs, seg)
 		}
 	}
-	if filter == 0 {
+	if section == "" {
 		r.sha = sha256.New()
 	}
 	r.segAt = -1
@@ -648,18 +647,6 @@ func openReader(path string, filter byte, verify bool, o options) (*Reader, erro
 		}
 	}
 	return r, nil
-}
-
-func sectionName(filter byte) string {
-	switch filter {
-	case 'g':
-		return sectionGames
-	case 'u':
-		return sectionUsers
-	case 'p':
-		return sectionGroups
-	}
-	return ""
 }
 
 func (r *Reader) openFile(path string, gzipped bool) error {
@@ -763,28 +750,15 @@ func (r *Reader) Next(rec *Record) (bool, error) {
 	}
 }
 
-// collect drains the reader into a Snapshot whose sections start with
-// room for hint records (games, users, groups; a wrong hint only costs
-// growth). On error the snapshot holds every record read before it, so
-// fsck can still describe a partially readable file.
-func (r *Reader) collect(hint [3]int) (*Snapshot, error) {
+// readAll collects every record r yields into a Snapshot whose sections
+// start with room for hint records (games, users, groups; a wrong hint
+// only costs growth). On error the snapshot holds every record read
+// before it, so fsck can still describe a partially readable file.
+func readAll(r *Reader, hint [3]int) (*Snapshot, error) {
 	s := &Snapshot{Games: withCap[GameRecord](hint[0]), Users: withCap[UserRecord](hint[1]), Groups: withCap[GroupRecord](hint[2])}
-	var rec Record
-	for {
-		ok, err := r.Next(&rec)
-		if err != nil || !ok {
-			s.CollectedAt = r.CollectedAt()
-			return s, err
-		}
-		switch rec.Kind {
-		case KindGame:
-			s.Games = append(s.Games, rec.Game)
-		case KindUser:
-			s.Users = append(s.Users, rec.User)
-		case KindGroup:
-			s.Groups = append(s.Groups, rec.Group)
-		}
-	}
+	err := forEach(r, s.add)
+	s.CollectedAt = r.CollectedAt()
+	return s, err
 }
 
 // withCap returns an empty slice with capacity n, or nil for n == 0, so

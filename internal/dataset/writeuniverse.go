@@ -1,11 +1,10 @@
-// Out-of-core generate→encode. FromUniverse materializes a full
-// []UserRecord copy of the universe — per-user Friends/Games/Groups
-// slices included — before Save writes a byte; at paper scale that copy
-// is a second multi-gigabyte resident set. WriteUniverse instead walks
-// the universe's slab-backed columns (the CSR adjacency from FriendCSR,
-// the library and membership slabs) and streams each record through the
-// snapshot Writer, reusing one scratch record per section, so encoding
-// adds O(1) record memory on top of the universe itself.
+// The universe producer. universeSource walks a universe's slab-backed
+// columns — the CSR adjacency from FriendCSR, the library and membership
+// slabs — one record at a time, building each record's lists in scratch
+// the cursor reuses, so walking adds O(1) record memory on top of the
+// universe itself. WriteUniverse drains it into a Writer, streaming
+// generate→encode at paper scale; FromUniverse collects it, cloning the
+// scratch lists into the records it keeps.
 
 package dataset
 
@@ -18,20 +17,50 @@ import (
 // the crawler-equivalence tests pin that identity — for both the single
 // file and the sharded directory layouts.
 func WriteUniverse(path string, u *simworld.Universe, opts ...Option) error {
-	w, err := NewWriter(path, u.CollectedAt, opts...)
-	if err != nil {
-		return err
-	}
-	defer w.Abort()
+	return writeSource(path, u.CollectedAt, universeSource(u), opts)
+}
 
-	var achs []AchievementRecord
-	for i := range u.Games {
-		g := &u.Games[i]
-		achs = achs[:0]
-		for _, a := range g.Achievements {
-			achs = append(achs, AchievementRecord{Name: a.Name, Percent: a.GlobalPercent})
+// universeIter is the universe producer's cursor over one section. Its
+// records' lists are scratch: valid until the next Next.
+type universeIter struct {
+	u       *simworld.Universe
+	kind    RecordKind
+	i       int
+	offsets []int64 // FriendCSR, for the users section
+	edges   []int32
+	achs    []AchievementRecord
+	friends []FriendRecord
+	games   []OwnershipRecord
+	ids     []uint64 // a user's groups or a group's members
+}
+
+func universeSource(u *simworld.Universe) sectionSource {
+	return func(section string) (recordIter, error) {
+		kind, err := sectionKind(section)
+		if err != nil {
+			return nil, err
 		}
-		rec := GameRecord{
+		it := &universeIter{u: u, kind: kind}
+		if kind == KindUser {
+			it.offsets, it.edges = u.FriendCSR()
+		}
+		return it, nil
+	}
+}
+
+func (it *universeIter) Next(rec *Record) (bool, error) {
+	u, i := it.u, it.i
+	switch it.kind {
+	case KindGame:
+		if i == len(u.Games) {
+			return false, nil
+		}
+		g := &u.Games[i]
+		it.achs = it.achs[:0]
+		for _, a := range g.Achievements {
+			it.achs = append(it.achs, AchievementRecord{Name: a.Name, Percent: a.GlobalPercent})
+		}
+		rec.Game = GameRecord{
 			AppID:        g.AppID,
 			Name:         g.Name,
 			Type:         g.Type.String(),
@@ -41,79 +70,70 @@ func WriteUniverse(path string, u *simworld.Universe, opts ...Option) error {
 			Metacritic:   g.Metacritic,
 			ReleaseYear:  g.ReleaseYear,
 			Developer:    g.Developer,
-			Achievements: nilIfEmpty(achs),
+			Achievements: nilIfEmpty(it.achs),
 		}
-		if err := w.WriteGame(&rec); err != nil {
-			return err
+	case KindUser:
+		if i == len(u.Users) {
+			return false, nil
 		}
-	}
-
-	offsets, edges := u.FriendCSR()
-	var friends []FriendRecord
-	var games []OwnershipRecord
-	var groups []uint64
-	for i := range u.Users {
 		user := &u.Users[i]
-		friends = friends[:0]
-		for _, e := range edges[offsets[i]:offsets[i+1]] {
+		it.friends = it.friends[:0]
+		for _, e := range it.edges[it.offsets[i]:it.offsets[i+1]] {
 			f := &u.Friendships[e]
 			peer := f.A
 			if peer == int32(i) {
 				peer = f.B
 			}
-			friends = append(friends, FriendRecord{SteamID: uint64(u.Users[peer].ID), Since: f.Since})
+			it.friends = append(it.friends, FriendRecord{SteamID: uint64(u.Users[peer].ID), Since: f.Since})
 		}
-		games = games[:0]
+		it.games = it.games[:0]
 		for _, g := range user.Library {
-			games = append(games, OwnershipRecord{
+			it.games = append(it.games, OwnershipRecord{
 				AppID:          u.Games[g.GameIdx].AppID,
 				TotalMinutes:   g.TotalMinutes,
 				TwoWeekMinutes: g.TwoWeekMinutes,
 			})
 		}
-		groups = groups[:0]
+		it.ids = it.ids[:0]
 		for _, g := range user.Groups {
-			groups = append(groups, u.Groups[g].ID)
+			it.ids = append(it.ids, u.Groups[g].ID)
 		}
-		rec := UserRecord{
+		rec.User = UserRecord{
 			SteamID: uint64(user.ID),
 			Created: user.Created,
 			Country: user.Country,
 			City:    user.City,
-			Friends: nilIfEmpty(friends),
-			Games:   nilIfEmpty(games),
-			Groups:  nilIfEmpty(groups),
+			Friends: nilIfEmpty(it.friends),
+			Games:   nilIfEmpty(it.games),
+			Groups:  nilIfEmpty(it.ids),
 		}
-		if err := w.WriteUser(&rec); err != nil {
-			return err
+	default:
+		if i == len(u.Groups) {
+			return false, nil
 		}
-	}
-
-	var members []uint64
-	for i := range u.Groups {
 		g := &u.Groups[i]
-		members = members[:0]
+		it.ids = it.ids[:0]
 		for _, m := range g.Members {
-			members = append(members, uint64(u.Users[m].ID))
+			it.ids = append(it.ids, uint64(u.Users[m].ID))
 		}
-		rec := GroupRecord{
+		rec.Group = GroupRecord{
 			GID:     g.ID,
 			Name:    g.Name,
 			Type:    g.Type.String(),
-			Members: nilIfEmpty(members),
-		}
-		if err := w.WriteGroup(&rec); err != nil {
-			return err
+			Members: nilIfEmpty(it.ids),
 		}
 	}
-
-	_, err = w.Close()
-	return err
+	rec.Kind = it.kind
+	it.i++
+	return true, nil
 }
 
-// nilIfEmpty maps a zero-length scratch slice to nil so the encoded form
-// matches FromUniverse's append-to-nil construction (the JSONL codec
-// distinguishes null from []).
+func (it *universeIter) CollectedAt() int64 { return it.u.CollectedAt }
+func (it *universeIter) Close() error       { return nil }
+
+// nilIfEmpty maps a zero-length scratch slice to nil, so an empty list
+// encodes as null (the JSONL codec distinguishes null from []) and
+// collects as nil.
 func nilIfEmpty[T any](s []T) []T {
 	if len(s) == 0 {
 		return nil
