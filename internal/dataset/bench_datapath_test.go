@@ -13,8 +13,9 @@ import (
 // paper-adjacent scale: a 500k-user universe generated (at workers=1, the
 // serial baseline, and workers=max, one worker per GOMAXPROCS), then
 // saved, loaded and fsck'd through the one snapshot path — Save and Load
-// through a temp .jsonl file, Snapshot.Fsck over the slices. `make bench`
-// records them in BENCH_datapath.json; on a single-CPU host the two
+// through a temp .jsonl and .jsonl.gz file, Snapshot.Fsck over the
+// slices. `make bench` records them in BENCH_datapath.json; on a
+// single-CPU host the two
 // generate variants necessarily coincide — the honest gomaxprocs field in
 // that file says which case was measured.
 const benchUsers = 500_000
@@ -34,11 +35,11 @@ func datapathSnapshot(b *testing.B) *Snapshot {
 	return datapathSnap
 }
 
-// datapathFile saves the bench snapshot to a temp .jsonl file and returns
-// its path and size.
-func datapathFile(b *testing.B) (string, int64) {
+// datapathFile saves the bench snapshot to a temp file called name and
+// returns its path and on-disk size (compressed, for ".jsonl.gz").
+func datapathFile(b *testing.B, name string) (string, int64) {
 	b.Helper()
-	path := filepath.Join(b.TempDir(), "bench.jsonl")
+	path := filepath.Join(b.TempDir(), name)
 	if err := datapathSnapshot(b).Save(path); err != nil {
 		b.Fatal(err)
 	}
@@ -65,9 +66,16 @@ func BenchmarkDatapathGenerate500k(b *testing.B) {
 	}
 }
 
-func BenchmarkDatapathEncode500k(b *testing.B) {
+// The Encode and Decode rows save and load a plain .jsonl; the Gzip rows
+// do the same through .jsonl.gz, the CLI's default container.
+func BenchmarkDatapathEncode500k(b *testing.B)     { benchSave(b, "bench.jsonl") }
+func BenchmarkDatapathEncodeGzip500k(b *testing.B) { benchSave(b, "bench.jsonl.gz") }
+func BenchmarkDatapathDecode500k(b *testing.B)     { benchLoad(b, "bench.jsonl") }
+func BenchmarkDatapathDecodeGzip500k(b *testing.B) { benchLoad(b, "bench.jsonl.gz") }
+
+func benchSave(b *testing.B, name string) {
 	s := datapathSnapshot(b)
-	path, size := datapathFile(b)
+	path, size := datapathFile(b, name)
 	b.ReportAllocs()
 	b.SetBytes(size)
 	b.ResetTimer()
@@ -78,8 +86,8 @@ func BenchmarkDatapathEncode500k(b *testing.B) {
 	}
 }
 
-func BenchmarkDatapathDecode500k(b *testing.B) {
-	path, size := datapathFile(b)
+func benchLoad(b *testing.B, name string) {
+	path, size := datapathFile(b, name)
 	b.ReportAllocs()
 	b.SetBytes(size)
 	b.ResetTimer()

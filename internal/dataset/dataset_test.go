@@ -229,6 +229,28 @@ func TestMergeGroupMemberUnion(t *testing.T) {
 	}
 }
 
+// A member-less group held by two parts merges to a nil member list, so
+// its line encodes "Members":null exactly as the one-part merge does.
+func TestMergeMemberlessGroupStaysNull(t *testing.T) {
+	part := &Snapshot{Groups: []GroupRecord{{GID: 7}}}
+	one, err := MergeAt(0, []*Snapshot{part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := MergeAt(0, []*Snapshot{part, part})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.Groups[0].Members != nil {
+		t.Fatalf("two-part merge members = %#v, want nil", two.Groups[0].Members)
+	}
+	want, _ := appendGroupLine(nil, &one.Groups[0])
+	got, _ := appendGroupLine(nil, &two.Groups[0])
+	if string(got) != string(want) {
+		t.Fatalf("two-part merge line %s, one part %s", got, want)
+	}
+}
+
 func TestMergeRejectsEmpty(t *testing.T) {
 	if _, err := MergeAt(0, nil); err == nil {
 		t.Fatal("empty merge accepted")

@@ -227,8 +227,9 @@ var minLineBytes = func() (n [3]int64) {
 }()
 
 // maxGzipRatio bounds how many uncompressed bytes recordHints believes a
-// compressed snapshot holds per file byte. Deflate shrinks this JSONL
-// about 8:1.
+// compressed snapshot holds per file byte. Deflate at gzipLevel shrinks
+// this JSONL about 7.3:1 (8.2:1 at the old default level 6), so 16 leaves
+// headroom for any level.
 const maxGzipRatio = 16
 
 // recordHints returns the manifest's section record counts (games,

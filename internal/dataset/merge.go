@@ -191,7 +191,12 @@ func (m *mergeIter) Close() error {
 	return err
 }
 
+// unionUint64 returns the sorted union of a and b, nil when both are nil
+// so that a member-less group merges to the null list it decoded from.
 func unionUint64(a, b []uint64) []uint64 {
+	if a == nil && b == nil {
+		return nil
+	}
 	seen := make(map[uint64]struct{}, len(a)+len(b))
 	out := make([]uint64, 0, len(a)+len(b))
 	for _, v := range a {

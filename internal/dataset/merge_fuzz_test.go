@@ -12,7 +12,8 @@ import (
 
 // mergeFuzzBase is a small valid snapshot with every section sorted by
 // key and every group's member list sorted, so that a member list split
-// over several copies of its group unions back to itself.
+// over several copies of its group unions back to itself. It ends with a
+// member-less group, whose copies must merge back to a null list.
 func mergeFuzzBase() *Snapshot {
 	cfg := simworld.DefaultConfig(120)
 	cfg.CatalogSize = 30
@@ -23,6 +24,8 @@ func mergeFuzzBase() *Snapshot {
 	for i := range s.Groups {
 		slices.Sort(s.Groups[i].Members)
 	}
+	last := s.Groups[len(s.Groups)-1]
+	s.Groups = append(s.Groups, GroupRecord{GID: last.GID + 1, Name: "empty", Type: last.Type})
 	return s
 }
 
@@ -32,8 +35,8 @@ func mergeFuzzBase() *Snapshot {
 // a part, and their copies in parts before the last one holding them may
 // be stale. A group's members are spread over its copies, which may repeat
 // within a part, and its copies outside the first part holding it may
-// lack Name and Type; a memberless group gets one copy. Each part's
-// sections are then either kept sorted or shuffled.
+// lack Name and Type. Each part's sections are then either kept sorted or
+// shuffled.
 func splitParts(base *Snapshot, rng *rand.Rand, cover bool) []*Snapshot {
 	parts := make([]*Snapshot, 1+rng.Intn(4))
 	for i := range parts {
@@ -41,7 +44,7 @@ func splitParts(base *Snapshot, rng *rand.Rand, cover bool) []*Snapshot {
 	}
 	// holders picks the parts a record goes to, in ascending order; a part
 	// listed twice holds two copies.
-	holders := func(single bool) []int {
+	holders := func() []int {
 		var at []int
 		for i := range parts {
 			if rng.Intn(3) == 0 {
@@ -54,13 +57,10 @@ func splitParts(base *Snapshot, rng *rand.Rand, cover bool) []*Snapshot {
 		if len(at) == 0 && cover {
 			at = []int{rng.Intn(len(parts))}
 		}
-		if single && len(at) > 1 {
-			at = at[:1]
-		}
 		return at
 	}
 	for _, g := range base.Games {
-		at := holders(false)
+		at := holders()
 		for _, p := range at {
 			rec := g
 			if p < at[len(at)-1] && rng.Intn(2) == 0 {
@@ -70,7 +70,7 @@ func splitParts(base *Snapshot, rng *rand.Rand, cover bool) []*Snapshot {
 		}
 	}
 	for _, u := range base.Users {
-		at := holders(false)
+		at := holders()
 		stale := u
 		stale.Country, stale.Games = "stale", u.Games[:len(u.Games)/2]
 		for _, p := range at {
@@ -82,7 +82,7 @@ func splitParts(base *Snapshot, rng *rand.Rand, cover bool) []*Snapshot {
 		}
 	}
 	for _, g := range base.Groups {
-		at := holders(len(g.Members) == 0)
+		at := holders()
 		if len(at) == 0 {
 			continue
 		}

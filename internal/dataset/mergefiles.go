@@ -16,18 +16,30 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // MergeFilesAt merges the snapshot files at parts into out, stamped with
 // collectedAt, deduplicating exactly like MergeAt: the latest part's
 // record wins per SteamID/AppID, group member sets union.
 //
-// Options apply to out's encoding (WithShardRecords for a .d directory)
-// and to the unsorted fallback's Load; WithProgress reports per-section
-// merged record counts.
+// Options apply to out's encoding (WithShardRecords for a .d directory);
+// WithProgress reports per-section merged record counts. The parts are
+// read without progress, and the unsorted fallback's rewrite reports no
+// count below one the aborted streaming attempt already reported, so the
+// counts stay non-decreasing.
 func MergeFilesAt(collectedAt int64, out string, parts []string, opts ...Option) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("dataset: nothing to merge")
+	}
+	if fn := buildOptions(opts).progress; fn != nil {
+		high := map[string]int{}
+		opts = append(slices.Clip(opts), WithProgress(func(section string, records int) {
+			if records >= high[section] {
+				high[section] = records
+				fn(section, records)
+			}
+		}))
 	}
 	srcs := make([]sectionSource, len(parts))
 	for i, p := range parts {
@@ -38,7 +50,7 @@ func MergeFilesAt(collectedAt int64, out string, parts []string, opts ...Option)
 		return err
 	}
 	for i, p := range parts {
-		s, err := Load(p, opts...)
+		s, err := Load(p)
 		if err != nil {
 			return err
 		}

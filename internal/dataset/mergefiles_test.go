@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -219,6 +220,53 @@ func TestMergeFilesAtLateUnsortedPartFallsBack(t *testing.T) {
 	}
 	if string(readFileT(t, got)) != string(readFileT(t, ref)) {
 		t.Fatal("fallback merge bytes differ from in-memory merge")
+	}
+}
+
+// The unsorted fallback reports merged counts only, non-decreasing per
+// section: the parts load without the caller's progress, so users
+// progress never restarts per part, and the rewrite after a late
+// disorder (in groups, once the streaming attempt has reported the users
+// total) never reports less than that attempt did.
+func TestMergeFilesAtFallbackProgressMonotone(t *testing.T) {
+	many := &Snapshot{}
+	for id := uint64(1); id <= jsonlChunk+88; id++ {
+		many.Users = append(many.Users, UserRecord{SteamID: id})
+	}
+	for _, c := range []struct {
+		name   string
+		a, b   *Snapshot
+		wantUs int
+	}{
+		{"unsorted users",
+			&Snapshot{Users: []UserRecord{{SteamID: 1}, {SteamID: 2}, {SteamID: 3}}},
+			&Snapshot{Users: []UserRecord{{SteamID: 5}, {SteamID: 4}}}, 5},
+		{"unsorted groups",
+			many,
+			&Snapshot{Groups: []GroupRecord{{GID: 7}, {GID: 9}, {GID: 8}}}, len(many.Users)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			pa, pb := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
+			if err := c.a.Save(pa); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.b.Save(pb); err != nil {
+				t.Fatal(err)
+			}
+			var users []int
+			progress := WithProgress(func(section string, records int) {
+				if section == "users" {
+					users = append(users, records)
+				}
+			})
+			if err := MergeFilesAt(7, filepath.Join(dir, "got.jsonl"), []string{pa, pb}, progress); err != nil {
+				t.Fatal(err)
+			}
+			if len(users) == 0 || users[len(users)-1] != c.wantUs || !slices.IsSorted(users) {
+				t.Fatalf("users progress %v, want non-decreasing and ending at %d", users, c.wantUs)
+			}
+		})
 	}
 }
 

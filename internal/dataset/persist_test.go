@@ -3,6 +3,8 @@ package dataset
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -493,5 +495,86 @@ func TestLoadWithoutManifestStillWorks(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Users, s.Users) {
 		t.Fatal("round trip without manifest lost data")
+	}
+}
+
+// The deflate level is a compression choice only: a ".jsonl.gz" save
+// inflates to exactly the ".jsonl" save's bytes, the two manifests agree
+// on every section sum, and the gz manifest hashes the on-disk bytes.
+func TestGzipSaveInflatesToJSONLSave(t *testing.T) {
+	s := everyClassFixture()
+	dir := t.TempDir()
+	plain, gz := filepath.Join(dir, "snap.jsonl"), filepath.Join(dir, "snap.jsonl.gz")
+	for _, path := range []string{plain, gz} {
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflated, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(inflated, readFileT(t, plain)) {
+		t.Fatal(".jsonl.gz inflates to different bytes than the .jsonl save")
+	}
+	mPlain, err := ReadManifest(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mGz, err := ReadManifest(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mPlain.Sections, mGz.Sections) {
+		t.Fatalf("section sums diverge: %+v vs %+v", mGz.Sections, mPlain.Sections)
+	}
+	sum := sha256.Sum256(raw)
+	if mGz.FileBytes != int64(len(raw)) || mGz.FileSHA256 != hex.EncodeToString(sum[:]) {
+		t.Fatalf("gz manifest covers %d bytes / %s, file is %d bytes / %x",
+			mGz.FileBytes, mGz.FileSHA256, len(raw), sum)
+	}
+}
+
+// Snapshots compressed at any deflate level load: the committed example,
+// gzipped at levels 1, 6 (the old default) and 9 with no manifest, loads
+// to the same content as the plain file.
+func TestGzipAnyLevelLoads(t *testing.T) {
+	src := filepath.Join("testdata", "example.snap.jsonl")
+	want, err := Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := readFileT(t, src)
+	for _, level := range []int{1, 6, 9} {
+		var buf bytes.Buffer
+		zw, err := gzip.NewWriterLevel(&buf, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := zw.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "example.snap.jsonl.gz")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(path)
+		if err != nil {
+			t.Fatalf("level %d: %v", level, err)
+		}
+		if got.ContentSignature() != want.ContentSignature() {
+			t.Fatalf("level %d: content signature differs from the plain file", level)
+		}
 	}
 }

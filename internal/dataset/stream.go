@@ -55,6 +55,23 @@ type Record struct {
 	Group GroupRecord
 }
 
+// gzipLevel is the deflate level of every ".jsonl.gz" the Writer saves.
+// A compression choice only: the uncompressed stream, section CRCs and
+// ContentSignature do not depend on it, while the file's FileSHA256 (and
+// so its ETag) does, and a file of any level loads. Measured on a
+// 100 k-user snapshot (seed 3, 64.9 MB of JSONL, median of 5, 2 vCPU):
+//
+//	level  compress  inflate  .gz size
+//	1      0.38 s    0.20 s   10.29 MB
+//	2      0.37 s    0.16 s    9.21 MB
+//	3      0.43 s    0.14 s    8.88 MB
+//	6      1.08 s    0.14 s    7.91 MB  (gzip.DefaultCompression)
+//
+// Level 3 compresses 2.5x faster than 6 for 12 % more bytes and 4 % more
+// inflate; levels 1–2 would save about 0.06 s once per save and inflate
+// 8–37 % slower on every load.
+const gzipLevel = 3
+
 // writerSections orders the record sections as the container does.
 var writerSections = [3]string{sectionGames, sectionUsers, sectionGroups}
 
@@ -77,6 +94,7 @@ type Writer struct {
 	f   *os.File
 	tmp string
 	cw  *countingWriter
+	zbw *bufio.Writer // compressed stream, so deflate's small writes batch
 	gzw *gzip.Writer
 	bw  *bufio.Writer
 
@@ -143,7 +161,8 @@ func NewWriter(path string, collectedAt int64, opts ...Option) (*Writer, error) 
 	w.cw = &countingWriter{w: io.MultiWriter(f, w.sha)}
 	var payload io.Writer = w.cw
 	if gzipped {
-		w.gzw = gzip.NewWriter(w.cw)
+		w.zbw = bufio.NewWriterSize(w.cw, 1<<20)
+		w.gzw, _ = gzip.NewWriterLevel(w.zbw, gzipLevel) // errs only on an invalid level
 		payload = w.gzw
 	}
 	w.bw = bufio.NewWriterSize(payload, 1<<20)
@@ -417,6 +436,9 @@ func (w *Writer) closeData() error {
 	if w.gzw != nil {
 		if err := w.gzw.Close(); err != nil {
 			return fmt.Errorf("dataset: compressing %s: %w", w.path, err)
+		}
+		if err := w.zbw.Flush(); err != nil {
+			return fmt.Errorf("dataset: writing %s: %w", w.path, err)
 		}
 	}
 	if err := w.f.Sync(); err != nil {
