@@ -3,6 +3,7 @@ package dataset
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -14,10 +15,9 @@ import (
 // serial baseline, and workers=max, one worker per GOMAXPROCS), then
 // saved, loaded and fsck'd through the one snapshot path — Save and Load
 // through a temp .jsonl and .jsonl.gz file, Snapshot.Fsck over the
-// slices. `make bench` records them in BENCH_datapath.json; on a
-// single-CPU host the two
-// generate variants necessarily coincide — the honest gomaxprocs field in
-// that file says which case was measured.
+// slices. `make bench` records them in BENCH_datapath.json. At
+// GOMAXPROCS=1 the two generate variants run the same code path, so the
+// workers=max one is skipped there rather than recorded twice.
 const benchUsers = 500_000
 
 var (
@@ -56,6 +56,9 @@ func BenchmarkDatapathGenerate500k(b *testing.B) {
 		workers int
 	}{{"workers=1", 1}, {"workers=max", 0}} {
 		b.Run(v.name, func(b *testing.B) {
+			if v.workers == 0 && runtime.GOMAXPROCS(0) == 1 {
+				b.Skip("workers=max is workers=1 at GOMAXPROCS=1")
+			}
 			cfg := simworld.DefaultConfig(benchUsers)
 			cfg.Workers = v.workers
 			b.ReportAllocs()

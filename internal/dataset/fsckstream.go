@@ -18,15 +18,16 @@
 // What stays resident is index data, not decoded records:
 //
 //	users        census IDs 8 B, sorted view 12 B (none when the stream is
-//	             already in SteamID order), first-occurrence position 4 B,
-//	             friend-list end offset 8 B, edge-row offset 4 B
+//	             already in SteamID order), bucket directory 4 B,
+//	             first-occurrence position 4 B, friend-list end offset 8 B,
+//	             edge-row offset 4 B
 //	friend edge  flat friend ID (then its census position) 8 B, packed
 //	             edge-index entry 8 B
 //	membership   packed (user, group) pair 8 B
 //	group        sorted member copy 8 B per member, GID index entry
 //
-// At 5 M users and 3.7 directed edges per user that is about 120 MB for
-// users (180 MB for an unsorted stream) and 300 MB for friend edges,
+// At 5 M users and 3.7 directed edges per user that is about 140 MB for
+// users (200 MB for an unsorted stream) and 300 MB for friend edges,
 // before slice-growth slack: well inside the 2 GiB stage gate.
 //
 // Every violation class is emitted by one step in record order (the
@@ -46,6 +47,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -115,10 +117,18 @@ func (st *fsckScanState) into(r *Report, man *Manifest) {
 // streamed SteamID in record order, plus a (sorted id, position) view for
 // binary-search lookups. For duplicate IDs find returns the first
 // occurrence, matching userAt's first-wins insert.
+//
+// A bucket directory over the sorted view narrows each search: ID id
+// falls in bucket (id-keys[0])>>shift, whose keys are
+// keys[dir[b]:dir[b+1]]. There are about as many buckets as IDs, so a
+// lookup searches a handful of keys instead of all of them. Equal IDs
+// share a bucket, so the search still lands on the first of a run.
 type idCensus struct {
-	ids  []uint64 // stream order
-	keys []uint64 // sorted; aliases ids when the stream is already sorted
-	pos  []int32  // keys[i] appeared at stream position pos[i]; nil when keys aliases ids
+	ids   []uint64 // stream order
+	keys  []uint64 // sorted; aliases ids when the stream is already sorted
+	pos   []int32  // keys[i] appeared at stream position pos[i]; nil when keys aliases ids
+	dir   []int32  // bucket b holds keys[dir[b]:dir[b+1]]
+	shift uint
 }
 
 // build derives the sorted view. Canonical snapshots store users in
@@ -126,6 +136,7 @@ type idCensus struct {
 // view: BinarySearch lands on the first of any run of equal IDs, which is
 // the first occurrence, and no position table is needed.
 func (c *idCensus) build() {
+	defer c.buildDir()
 	if slices.IsSorted(c.ids) {
 		c.keys, c.pos = c.ids, nil
 		return
@@ -142,12 +153,39 @@ func (c *idCensus) build() {
 	}
 }
 
+// buildDir builds the bucket directory over keys, with the smallest
+// shift that leaves at most about one bucket per key.
+func (c *idCensus) buildDir() {
+	n := len(c.keys)
+	if n == 0 {
+		c.dir = nil
+		return
+	}
+	base := c.keys[0]
+	c.shift = uint(bits.Len64((c.keys[n-1] - base) / uint64(n)))
+	buckets := int((c.keys[n-1]-base)>>c.shift) + 1
+	c.dir = make([]int32, buckets+1)
+	i := 0
+	for b := range c.dir {
+		for i < n && int((c.keys[i]-base)>>c.shift) < b {
+			i++
+		}
+		c.dir[b] = int32(i)
+	}
+}
+
 // find returns the first stream position of id.
 func (c *idCensus) find(id uint64) (int32, bool) {
-	i, ok := slices.BinarySearch(c.keys, id)
+	if len(c.keys) == 0 || id < c.keys[0] || id > c.keys[len(c.keys)-1] {
+		return 0, false
+	}
+	b := (id - c.keys[0]) >> c.shift
+	lo := int(c.dir[b])
+	i, ok := slices.BinarySearch(c.keys[lo:c.dir[b+1]], id)
 	if !ok {
 		return 0, false
 	}
+	i += lo
 	if c.pos == nil {
 		return int32(i), true
 	}

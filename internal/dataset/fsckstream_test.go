@@ -378,3 +378,43 @@ func TestFsckShardedRejectsBareSegment(t *testing.T) {
 		t.Fatal("expected error for bare segment path")
 	}
 }
+
+// The census's bucketed lookup must agree with a first-wins map over the
+// stream: duplicate IDs resolve to their first position, and IDs below
+// the smallest, above the largest and in the gaps between are absent.
+// Both the already-sorted stream (no position table) and an unsorted one
+// run, over dense, sparse and SteamID-sized ID ranges.
+func TestIDCensusFind(t *testing.T) {
+	const base = 76561197960265728 // the SteamID64 of account 0
+	for _, tc := range []struct {
+		name string
+		ids  []uint64
+	}{
+		{"empty", nil},
+		{"single", []uint64{base + 5}},
+		{"sorted-dense", []uint64{base, base + 1, base + 2, base + 2, base + 3, base + 9}},
+		{"sorted-sparse", []uint64{base + 3, base + 1000, base + 1000, base + 1<<40, base + 1<<40 + 7}},
+		{"unsorted-dups", []uint64{base + 90, base + 4, base + 90, base + 17, base + 4, base + 4, base + 1<<33, base + 17}},
+		{"unsorted-wide", []uint64{^uint64(0), 0, 1 << 63, ^uint64(0), 0, 12345}},
+	} {
+		c := idCensus{ids: slices.Clone(tc.ids)}
+		c.build()
+		first := map[uint64]int32{}
+		for i, id := range tc.ids {
+			if _, ok := first[id]; !ok {
+				first[id] = int32(i)
+			}
+		}
+		probes := []uint64{0, 1, base - 1, base, ^uint64(0), ^uint64(0) - 1}
+		for _, id := range tc.ids {
+			probes = append(probes, id, id-1, id+1, id+1000)
+		}
+		for _, id := range probes {
+			got, ok := c.find(id)
+			want, wantOK := first[id]
+			if ok != wantOK || got != want {
+				t.Errorf("%s: find(%d) = %d, %v; want %d, %v", tc.name, id, got, ok, want, wantOK)
+			}
+		}
+	}
+}

@@ -2,7 +2,7 @@ package simworld
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"steamstudy/internal/dists"
@@ -70,8 +70,8 @@ func generateCatalog(cfg Config, rng *randx.RNG) *catalogState {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return st.games[order[a]].Quality > st.games[order[b]].Quality
+	slices.SortFunc(order, func(a, b int) int {
+		return cmpFloat(st.games[b].Quality, st.games[a].Quality)
 	})
 
 	dealGenres(cfg, rng.Split("genres"), st, order)
@@ -221,7 +221,7 @@ func dealStratified(cfg Config, rng *randx.RNG, st *catalogState) {
 			gi := porder[lo+k]
 			keys[k] = slotKey{gi: gi, key: mrng.ExpFloat64() / mpAffinity(&st.games[gi])}
 		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a].key < keys[b].key })
+		slices.SortFunc(keys, func(a, b slotKey) int { return cmpFloat(a.key, b.key) })
 		for k := 0; k < want; k++ {
 			st.games[keys[k].gi].Multiplayer = true
 			st.multiplayer[keys[k].gi] = true
@@ -392,7 +392,7 @@ func dealSpamCounts(rng *randx.RNG, st *catalogState, counts []int) {
 	for k, gi := range spam {
 		vals[k] = counts[gi]
 	}
-	sort.Ints(vals)
+	slices.Sort(vals)
 	// Pick the flattest of a fixed number of candidate permutations; with
 	// |rho| falling as ~1/sqrt(tries), 64 candidates push the dealt
 	// correlation well below the residual playtime noise.

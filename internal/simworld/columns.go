@@ -1,6 +1,6 @@
 package simworld
 
-import "sort"
+import "slices"
 
 // Columns is a structure-of-arrays view of the per-user universe: the
 // handful of scalar attributes the paper's tables run over, packed into
@@ -105,7 +105,7 @@ func (u *Universe) BuildColumns() *Columns {
 	for code := range countries {
 		c.Countries = append(c.Countries, code)
 	}
-	sort.Strings(c.Countries)
+	slices.Sort(c.Countries)
 	return c
 }
 

@@ -1,7 +1,8 @@
 package simworld
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"steamstudy/internal/par"
 	"steamstudy/internal/randx"
@@ -96,7 +97,7 @@ func generateFriendships(cfg Config, rng *randx.RNG, st *genState, u *Universe) 
 	for c := range countryUsers {
 		countries = append(countries, c)
 	}
-	sort.Slice(countries, func(a, b int) bool { return countries[a] < countries[b] })
+	slices.Sort(countries)
 	paired := make([]int, n) // per-user edges actually created
 	domRem := make([]int, n)
 	copy(domRem, domestic)
@@ -105,9 +106,7 @@ func generateFriendships(cfg Config, rng *randx.RNG, st *genState, u *Universe) 
 	par.For(cfg.Workers, len(countries), func(ci int) {
 		crng := wrng.SplitN("domestic", uint64(ci))
 		members := countryUsers[countries[ci]]
-		sort.Slice(members, func(a, b int) bool {
-			return st.social[members[a]] < st.social[members[b]]
-		})
+		slices.SortFunc(members, st.cmpSocial)
 		localSeen := make(map[uint64]struct{}, len(members)*4)
 		localEmit := func(a, b int32) bool {
 			if a == b {
@@ -172,7 +171,7 @@ func generateFriendships(cfg Config, rng *randx.RNG, st *genState, u *Universe) 
 			order = append(order, int32(i))
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return st.social[order[a]] < st.social[order[b]] })
+	slices.SortFunc(order, st.cmpSocial)
 	wirePairs(wrng, order, remaining, cfg.HomophilyNoise, func(a, b int32) bool {
 		if emit(a, b) {
 			paired[a]++
@@ -219,12 +218,11 @@ func generateFriendships(cfg Config, rng *randx.RNG, st *genState, u *Universe) 
 			// Domestic, homophilous repair: proximity-match the deficit
 			// stubs ordered by (country, social latent), widening the
 			// window each round.
-			sort.Slice(deficitUsers, func(a, b int) bool {
-				ua, ub := deficitUsers[a], deficitUsers[b]
-				if st.country[ua] != st.country[ub] {
-					return st.country[ua] < st.country[ub]
+			slices.SortFunc(deficitUsers, func(a, b int32) int {
+				if c := cmp.Compare(st.country[a], st.country[b]); c != 0 {
+					return c
 				}
-				return st.social[ua] < st.social[ub]
+				return st.cmpSocial(a, b)
 			})
 			wirePairs(wrng, deficitUsers, deficitCount, cfg.HomophilyNoise*float64(round+1), repairEmit)
 		} else {
@@ -271,7 +269,7 @@ func generateFriendships(cfg Config, rng *randx.RNG, st *genState, u *Universe) 
 			e.Since = ts
 		}
 	})
-	sort.Slice(edges, func(a, b int) bool { return edges[a].Since < edges[b].Since })
+	slices.SortFunc(edges, func(a, b Friendship) int { return cmp.Compare(a.Since, b.Since) })
 	u.Friendships = edges
 }
 
@@ -290,11 +288,7 @@ func wirePairs(rng *randx.RNG, ordered []int32, stubs []int, noiseFrac float64, 
 	if total < 2 {
 		return
 	}
-	type stub struct {
-		user int32
-		key  float64
-	}
-	all := make([]stub, 0, total)
+	all := make([]keyRec, 0, total) // (key, user) per stub
 	pos := 0
 	scale := noiseFrac * float64(total)
 	if scale < 12 {
@@ -313,11 +307,11 @@ func wirePairs(rng *randx.RNG, ordered []int32, stubs []int, noiseFrac float64, 
 			s = widened
 		}
 		for k := 0; k < stubs[uidx]; k++ {
-			all = append(all, stub{user: uidx, key: float64(pos) + rng.Laplace(s)})
+			all = append(all, newKeyRec(float64(pos)+rng.Laplace(s), uint32(uidx)))
 			pos++
 		}
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].key < all[b].key })
+	sortKeyed(all)
 	// Queue drain: consecutive stubs of the same user accumulate and are
 	// paired one-by-one with the following distinct-user stubs, so a
 	// high-degree user whose stubs cluster in key space still receives
@@ -325,20 +319,21 @@ func wirePairs(rng *randx.RNG, ordered []int32, stubs []int, noiseFrac float64, 
 	var qUser int32
 	qCount := 0
 	for _, s := range all {
+		user := int32(uint32(s.val))
 		if qCount == 0 {
-			qUser, qCount = s.user, 1
+			qUser, qCount = user, 1
 			continue
 		}
-		if s.user == qUser {
+		if user == qUser {
 			qCount++
 			continue
 		}
-		ok := emit(qUser, s.user)
+		ok := emit(qUser, user)
 		qCount--
 		if !ok && qCount == 0 {
 			// The queued stub was wasted on a duplicate edge; reuse the
 			// current stub so it still gets a chance to pair.
-			qUser, qCount = s.user, 1
+			qUser, qCount = user, 1
 		}
 	}
 }

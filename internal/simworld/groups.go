@@ -1,8 +1,9 @@
 package simworld
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"steamstudy/internal/randx"
@@ -72,7 +73,7 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
 
 	// Assign types: Table 2 mix for the top 250 (scaled down for small
 	// universes), the small-group mix below.
@@ -113,10 +114,7 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 					if pr >= len(st.owners) || len(st.owners[pr]) == 0 {
 						continue
 					}
-					gi := gameAtPopRank(st, pr)
-					if gi < 0 {
-						continue
-					}
+					gi := st.byRank[pr]
 					if t == GroupGameServer && !u.Games[gi].Multiplayer {
 						continue
 					}
@@ -143,9 +141,12 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 		}
 		return 0, false
 	}
-	memberSet := make(map[int32]struct{}, 1024)
-	hardcore := make(map[int]bool)
-	clanMember := make(map[int32]bool) // users already in a hardcore clan
+	// memberStamp[u] == rank+1 while u is a member of the group being
+	// filled at that size rank: the stamp moves on with each group, so the
+	// set needs no clearing.
+	memberStamp := make([]int32, nUsers)
+	hardcore := make([]bool, nGroups)
+	clanMember := make([]bool, nUsers) // users already in a hardcore clan
 	// All member lists live in one slab carved per group (cap = the
 	// group's size draw; a group only falls short on stub exhaustion, so
 	// the waste is bounded and the per-group appends never reallocate).
@@ -156,10 +157,10 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 	memberSlab := make([]int32, sumSizes)
 	slabOff := 0
 	var deferred []int32
-	for _, g := range order {
+	for rank, g := range order {
 		grp := &u.Groups[g]
 		want := sizes[g]
-		clear(memberSet)
+		stamp := int32(rank + 1)
 		deferred = deferred[:0]
 		grp.Members = memberSlab[slabOff : slabOff : slabOff+want]
 		slabOff += want
@@ -189,7 +190,7 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 				for try := 0; try < tries; try++ {
 					cand := pool[grng.Intn(len(pool))]
 					if remaining[cand] > 0 || hardcore[g] {
-						if _, dup := memberSet[cand]; dup {
+						if memberStamp[cand] == stamp {
 							continue
 						}
 						// A player belongs to at most one hardcore clan:
@@ -209,7 +210,7 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 				if !ok {
 					break // user stubs exhausted
 				}
-				if _, dup := memberSet[cand]; dup {
+				if memberStamp[cand] == stamp {
 					// Already a member of this group: the stub stays valid
 					// and is re-queued for a later group.
 					deferred = append(deferred, cand)
@@ -220,7 +221,7 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 			if !found {
 				break
 			}
-			memberSet[uidx] = struct{}{}
+			memberStamp[uidx] = stamp
 			grp.Members = append(grp.Members, uidx)
 			remaining[uidx]--
 			if hardcore[g] {
@@ -265,7 +266,7 @@ func generateGroups(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 // large groups with >= 90 % of member playtime on one game). Each user's
 // total minutes are preserved — minutes only move between that user's own
 // library entries — so the calibrated playtime marginals are untouched.
-func alignFocalPlaytime(cfg Config, rng *randx.RNG, u *Universe, hardcore map[int]bool) {
+func alignFocalPlaytime(cfg Config, rng *randx.RNG, u *Universe, hardcore []bool) {
 	// Ordinary focal groups first, hardcore clans last: a user in several
 	// focal groups keeps the alignment of the most dedicated one.
 	order := make([]int, 0, len(u.Groups))
@@ -279,7 +280,7 @@ func alignFocalPlaytime(cfg Config, rng *randx.RNG, u *Universe, hardcore map[in
 			order = append(order, gi)
 		}
 	}
-	claimed := make(map[int32]bool) // users already hardcore-aligned
+	claimed := make([]bool, len(u.Users)) // users already hardcore-aligned
 	for _, gi := range order {
 		grp := &u.Groups[gi]
 		if grp.FocalGame < 0 {
@@ -375,16 +376,6 @@ func alignFocalPlaytime(cfg Config, rng *randx.RNG, u *Universe, hardcore map[in
 			user.TotalMinutes = sum
 		}
 	}
-}
-
-// gameAtPopRank inverts the popularity rank to a game index.
-func gameAtPopRank(st *genState, rank int) int32 {
-	for gi, r := range st.popRank {
-		if int(r) == rank {
-			return int32(gi)
-		}
-	}
-	return -1
 }
 
 // groupTypePicker samples GroupTypes from a weight map with a stable

@@ -2,7 +2,7 @@ package simworld
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"steamstudy/internal/randx"
 )
@@ -24,6 +24,7 @@ func generateOwnership(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 
 	// Popularity ranks for the owner index.
 	st.popRank = make([]int32, nGames)
+	st.byRank = make([]int32, nGames)
 	order := make([]int, nGames)
 	for i := range order {
 		order[i] = i
@@ -31,6 +32,7 @@ func generateOwnership(cfg Config, rng *randx.RNG, st *genState, u *Universe) {
 	sortByDesc(order, cat.popularity)
 	for rank, idx := range order {
 		st.popRank[idx] = int32(rank)
+		st.byRank[rank] = int32(idx)
 	}
 	st.owners = make([][]int32, ownersIndexTop)
 
@@ -396,5 +398,5 @@ func gameUnplayedFrac(cfg Config, g *Game) float64 {
 
 // sortByDesc sorts idx by descending score.
 func sortByDesc(idx []int, score []float64) {
-	sort.Slice(idx, func(a, b int) bool { return score[idx[a]] > score[idx[b]] })
+	slices.SortFunc(idx, func(a, b int) int { return cmpFloat(score[b], score[a]) })
 }

@@ -3,7 +3,7 @@ package simworld
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"steamstudy/internal/dists"
 	"steamstudy/internal/randx"
@@ -35,8 +35,12 @@ type genState struct {
 
 	// Ownership-derived lookups for the group generator.
 	popRank []int32   // popularity rank per game (0 = most popular)
+	byRank  []int32   // game index per popularity rank, popRank's inverse
 	owners  [][]int32 // owner lists for the top-ranked games
 }
+
+// cmpSocial orders users by the social latent.
+func (st *genState) cmpSocial(a, b int32) int { return cmpFloat(st.social[a], st.social[b]) }
 
 // generateUsers draws every user's latent attribute vector through the
 // Gaussian copula, assigns IDs along the sparse ID space, creation dates
@@ -147,13 +151,14 @@ func generateUsers(cfg Config, rng *randx.RNG, cat *catalogState, u *Universe) (
 	for i := range all {
 		all[i] = int32(i)
 	}
-	rankAssign(all, uFriends, cfg.Friends.ZeroFrac, friendsQ.Tail, func(i int32, v float64) {
+	recs := make([]keyRec, n) // one record slab serves all five sorts
+	rankAssign(all, uFriends, recs, cfg.Friends.ZeroFrac, friendsQ.Tail, func(i int32, v float64) {
 		st.friendTarget[i] = int(v + 0.5)
 	})
-	rankAssign(all, uGames, cfg.GamesOwned.ZeroFrac, gamesQ.Tail, func(i int32, v float64) {
+	rankAssign(all, uGames, recs, cfg.GamesOwned.ZeroFrac, gamesQ.Tail, func(i int32, v float64) {
 		st.gamesTarget[i] = int(v + 0.5)
 	})
-	rankAssign(all, uGroups, cfg.Groups.ZeroFrac, groupsQ.Tail, func(i int32, v float64) {
+	rankAssign(all, uGroups, recs, cfg.Groups.ZeroFrac, groupsQ.Tail, func(i int32, v float64) {
 		st.groupsTarget[i] = int(v + 0.5)
 	})
 	// Playtime is gated on ownership: players are a subset of owners.
@@ -163,7 +168,7 @@ func generateUsers(cfg Config, rng *randx.RNG, cat *catalogState, u *Universe) (
 			owners = append(owners, int32(i))
 		}
 	}
-	rankAssign(owners, uTotal, cfg.TotalPlay.ZeroFrac, totalQ.Tail, func(i int32, v float64) {
+	rankAssign(owners, uTotal, recs, cfg.TotalPlay.ZeroFrac, totalQ.Tail, func(i int32, v float64) {
 		st.totalTarget[i] = int64(v + 0.5)
 	})
 	var players []int32
@@ -172,7 +177,7 @@ func generateUsers(cfg Config, rng *randx.RNG, cat *catalogState, u *Universe) (
 			players = append(players, i)
 		}
 	}
-	rankAssign(players, uTwoWk, cfg.TwoWeekPlay.ZeroFrac, twoWkQ.Tail, func(i int32, v float64) {
+	rankAssign(players, uTwoWk, recs, cfg.TwoWeekPlay.ZeroFrac, twoWkQ.Tail, func(i int32, v float64) {
 		st.twoWkTarget[i] = int64(v + 0.5)
 	})
 
@@ -228,20 +233,23 @@ func generateUsers(cfg Config, rng *randx.RNG, cat *catalogState, u *Universe) (
 // exact marginal: the bottom zeroFrac of the eligible set (by copula
 // uniform) stays at zero, and the remainder receives tail.Quantile at its
 // exact rank position. Values are left untouched for zero-assigned users
-// (callers start from zeroed slices).
-func rankAssign(elig []int32, u []float64, zeroFrac float64, tail *dists.QuantileSpline, set func(i int32, v float64)) {
+// (callers start from zeroed slices). The sort runs on (uniform, user)
+// records in recs, which holds at least len(elig).
+func rankAssign(elig []int32, u []float64, recs []keyRec, zeroFrac float64, tail *dists.QuantileSpline, set func(i int32, v float64)) {
 	m := len(elig)
 	if m == 0 {
 		return
 	}
-	order := make([]int32, m)
-	copy(order, elig)
-	sort.Slice(order, func(a, b int) bool { return u[order[a]] < u[order[b]] })
+	recs = recs[:m]
+	for j, i := range elig {
+		recs[j] = newKeyRec(u[i], uint32(i))
+	}
+	sortKeyed(recs)
 	zeros := int(zeroFrac*float64(m) + 0.5)
 	nz := m - zeros
-	for j, idx := range order[zeros:] {
+	for j, r := range recs[zeros:] {
 		p := (float64(j) + 0.5) / float64(nz)
-		set(idx, tail.Quantile(p))
+		set(int32(uint32(r.val)), tail.Quantile(p))
 	}
 }
 
@@ -279,7 +287,7 @@ func assignIDsAndCreation(cfg Config, rng *randx.RNG, u *Universe) {
 			times[i] = SteamLaunch + int64(t*span)
 		}
 	})
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
+	slices.Sort(times)
 
 	// The account-gap walk is inherently sequential (each ID depends on
 	// every gap before it) and cheap; it stays on a single stream.

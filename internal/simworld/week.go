@@ -1,8 +1,9 @@
 package simworld
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"steamstudy/internal/randx"
 )
@@ -96,7 +97,7 @@ func (u *Universe) SampleWeekUsers(frac float64) []int {
 }
 
 func sortByTotalMinutes(u *Universe, order []int) {
-	sort.Slice(order, func(a, b int) bool {
-		return u.Users[order[a]].TotalMinutes < u.Users[order[b]].TotalMinutes
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Compare(u.Users[a].TotalMinutes, u.Users[b].TotalMinutes)
 	})
 }
