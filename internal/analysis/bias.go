@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"steamstudy/internal/dataset"
 	"steamstudy/internal/stats"
@@ -22,16 +23,17 @@ func SnowballSample(s *dataset.Snapshot, seedCount, maxUsers int) *dataset.Snaps
 	type cand struct {
 		idx int
 		deg int
+		id  uint64
 	}
 	cands := make([]cand, len(s.Users))
 	for i := range s.Users {
-		cands[i] = cand{idx: i, deg: len(s.Users[i].Friends)}
+		cands[i] = cand{idx: i, deg: len(s.Users[i].Friends), id: s.Users[i].SteamID}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].deg != cands[b].deg {
-			return cands[a].deg > cands[b].deg
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(b.deg, a.deg); c != 0 {
+			return c
 		}
-		return s.Users[cands[a].idx].SteamID < s.Users[cands[b].idx].SteamID
+		return cmp.Compare(a.id, b.id)
 	})
 	idx := s.UserIndex()
 	visited := make(map[int32]bool)

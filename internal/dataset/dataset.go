@@ -7,8 +7,9 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // FriendRecord is one friendship as seen from a user's friend list.
@@ -142,7 +143,9 @@ func (s *Snapshot) FriendshipEdges() []Edge {
 			}
 		}
 	}
-	sort.Slice(edges, func(x, y int) bool { return edges[x].Since < edges[y].Since })
+	// A typed sort runs sort.Slice's pdqsort with the same comparisons, so
+	// edges tied on Since keep the order they always had.
+	slices.SortFunc(edges, func(x, y Edge) int { return cmp.Compare(x.Since, y.Since) })
 	return edges
 }
 

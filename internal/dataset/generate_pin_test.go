@@ -27,14 +27,18 @@ var pinSeeds = []int64{3, 11}
 type generatePin struct {
 	JSONLSHA256      string `json:"jsonl_sha256"`
 	ContentSignature string `json:"content_signature"`
+	// JSONLGzSHA256 is the FileSHA256 of WriteUniverse's .jsonl.gz: the
+	// block compressor's bytes, which span two blocks at pinUsers.
+	JSONLGzSHA256 string `json:"jsonl_gz_sha256"`
 }
 
 // TestGeneratePinned pins the generator's output: the SHA-256 of
 // WriteUniverse's .jsonl and the snapshot's ContentSignature at two
 // seeds. A change that alters a byte of the generated universe — a new
 // draw, a tie-break, a sort that permutes equal keys differently — fails
-// here. Run with -update to rewrite the pins, and name the reason in
-// CHANGES.md.
+// here. It also pins the .jsonl.gz manifest's FileSHA256, so a change to
+// the compressed bytes (block size, level, header) fails too. Run with
+// -update to rewrite the pins, and name the reason in CHANGES.md.
 func TestGeneratePinned(t *testing.T) {
 	got := map[string]generatePin{}
 	dir := t.TempDir()
@@ -45,9 +49,18 @@ func TestGeneratePinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(readFileT(t, path))
+		gz := path + ".gz"
+		if err := WriteUniverse(gz, uni); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(gz)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got[strconv.FormatInt(seed, 10)] = generatePin{
 			JSONLSHA256:      hex.EncodeToString(sum[:]),
 			ContentSignature: FromUniverse(uni).ContentSignature(),
+			JSONLGzSHA256:    m.FileSHA256,
 		}
 	}
 

@@ -70,6 +70,26 @@ type Record struct {
 // Level 3 compresses 2.5x faster than 6 for 12 % more bytes and 4 % more
 // inflate; levels 1–2 would save about 0.06 s once per save and inflate
 // 8–37 % slower on every load.
+//
+// The file is one gzip member written by blockGzip (gzblock.go):
+//
+//	1f 8b 08 00 00000000 00 ff   header, as gzip.Writer writes it
+//	deflate(block 0) 00 00 ff ff  1 MiB from an empty window, sync flush
+//	...
+//	deflate(block n)              the rest (at most 1 MiB), BFINAL set
+//	CRC-32 ISIZE                  over the whole uncompressed stream
+//
+// Blocks deflate on a pool of one worker per CPU and are written in
+// order, so the bytes are the same at any worker count. Same snapshot,
+// same host, median of 5:
+//
+//	writer               GOMAXPROCS=1  GOMAXPROCS=2  .gz size
+//	one gzip.Writer      0.331 s       0.335 s       8,878,561
+//	1 MiB blocks         0.329 s       0.167 s       8,893,465
+//	4 MiB blocks         0.329 s       0.174 s       8,883,114
+//	256 KiB blocks       0.336 s       0.167 s       8,942,111
+//
+// 1 MiB blocks cost 0.17 % in size; inflate is 0.115 s for every row.
 const gzipLevel = 3
 
 // writerSections orders the record sections as the container does.
@@ -77,7 +97,8 @@ var writerSections = [3]string{sectionGames, sectionUsers, sectionGroups}
 
 // Writer streams one snapshot into path — a ".d" sharded directory or a
 // single ".jsonl"/".jsonl.gz" file — without ever holding more than the
-// record being written. Records must arrive in section order (games, then
+// record being written and, for a ".jsonl.gz", the few 1 MiB blocks being
+// compressed. Records must arrive in section order (games, then
 // users, then groups); a section may be empty. Close finalizes the data,
 // builds the manifest from the accumulated checksums, and publishes both
 // with the atomic temp→fsync→rename protocol Save documents. On error (or
@@ -90,13 +111,14 @@ type Writer struct {
 	sharded     bool
 	gzipped     bool
 
-	// Single-file plumbing.
-	f   *os.File
-	tmp string
-	cw  *countingWriter
-	zbw *bufio.Writer // compressed stream, so deflate's small writes batch
-	gzw *gzip.Writer
-	bw  *bufio.Writer
+	// Single-file plumbing: records go to body, which is gz for a
+	// ".jsonl.gz" and bw for a ".jsonl".
+	f    *os.File
+	tmp  string
+	cw   *countingWriter
+	gz   *blockGzip
+	bw   *bufio.Writer
+	body io.Writer
 
 	// Sharded plumbing.
 	tmpDir     string
@@ -159,15 +181,15 @@ func NewWriter(path string, collectedAt int64, opts ...Option) (*Writer, error) 
 	}
 	w.f, w.tmp = f, f.Name()
 	w.cw = &countingWriter{w: io.MultiWriter(f, w.sha)}
-	var payload io.Writer = w.cw
 	if gzipped {
-		w.zbw = bufio.NewWriterSize(w.cw, 1<<20)
-		w.gzw, _ = gzip.NewWriterLevel(w.zbw, gzipLevel) // errs only on an invalid level
-		payload = w.gzw
+		w.gz = newBlockGzip(w.cw)
+		w.body = w.gz
+	} else {
+		w.bw = bufio.NewWriterSize(w.cw, 1<<20)
+		w.body = w.bw
 	}
-	w.bw = bufio.NewWriterSize(payload, 1<<20)
 	hdr := appendHeaderLine(nil, collectedAt)
-	if _, err := w.bw.Write(hdr); err != nil {
+	if _, err := w.body.Write(hdr); err != nil {
 		w.Abort()
 		return nil, fmt.Errorf("dataset: writing %s: %w", path, err)
 	}
@@ -264,7 +286,7 @@ func (w *Writer) write(sec int, enc func([]byte) ([]byte, error), sum func(*cano
 	if !w.sharded {
 		// The single-file sha is fed post-compression through the counting
 		// writer.
-		if _, err := w.bw.Write(b); err != nil {
+		if _, err := w.body.Write(b); err != nil {
 			return w.fail(fmt.Errorf("dataset: writing %s: %w", w.path, err))
 		}
 		return nil
@@ -348,6 +370,9 @@ func (w *Writer) Abort() {
 		w.seg.Close()
 		w.seg = nil
 	}
+	if w.gz != nil {
+		w.gz.abort()
+	}
 	if w.f != nil {
 		w.f.Close()
 		w.f = nil
@@ -430,16 +455,12 @@ func (w *Writer) closeData() error {
 	// For single files the sha covers post-compression bytes, which only
 	// exist once the gzip stream is closed; w.total tracked the
 	// uncompressed stream, so recompute from the counting writer.
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("dataset: writing %s: %w", w.path, err)
-	}
-	if w.gzw != nil {
-		if err := w.gzw.Close(); err != nil {
-			return fmt.Errorf("dataset: compressing %s: %w", w.path, err)
-		}
-		if err := w.zbw.Flush(); err != nil {
+	if w.gz != nil {
+		if err := w.gz.Close(); err != nil {
 			return fmt.Errorf("dataset: writing %s: %w", w.path, err)
 		}
+	} else if err := w.bw.Flush(); err != nil {
+		return fmt.Errorf("dataset: writing %s: %w", w.path, err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("dataset: fsync %s: %w", w.path, err)

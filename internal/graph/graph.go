@@ -7,6 +7,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -93,7 +94,7 @@ type EvolutionPoint struct {
 // September 2008 — the reason Fig 1 does not reach the full edge total.
 func (g *Graph) Evolution(created []int64, from, to int64) []EvolutionPoint {
 	sortedCreated := append([]int64(nil), created...)
-	sort.Slice(sortedCreated, func(a, b int) bool { return sortedCreated[a] < sortedCreated[b] })
+	slices.Sort(sortedCreated)
 
 	var out []EvolutionPoint
 	t := time.Unix(from, 0).UTC()
