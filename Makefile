@@ -15,10 +15,14 @@ race:
 # pass, the test suite is race-clean, and the committed example snapshot
 # passes fsck at the CLI. The crash-tagged harness must at least compile
 # (vet + a no-op test run), so it cannot rot unnoticed. Code under cmd and
-# internal (what `make fmt` rewrites) must be gofmt-clean.
+# internal (what `make fmt` rewrites) must be gofmt-clean, and no package
+# may import encoding/gob: snapshots and the crawl journal share the one
+# JSONL codec on disk.
 verify: build vet test race fsck
 	@unformatted=$$(gofmt -l cmd internal); \
 		if [ -n "$$unformatted" ]; then echo "gofmt needed (run make fmt):"; echo "$$unformatted"; exit 1; fi
+	@gob=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w 'encoding/gob'); \
+		if [ -n "$$gob" ]; then echo "encoding/gob imported (the on-disk codec is JSONL):"; echo "$$gob"; exit 1; fi
 	$(GO) vet -tags crash ./internal/crawler ./internal/fleet
 	$(GO) test -tags crash -run '^$$' ./internal/crawler ./internal/fleet
 	$(GO) vet -tags scale ./internal/scale
@@ -83,6 +87,10 @@ fuzz:
 #     beside it.
 #   BENCH_obs.json — obs hot-path costs (counter add, histogram observe,
 #     8-goroutine contention): the observability layer's overhead budget.
+#   BENCH_journal.json — the crawl journal over a 20k-user universe:
+#     append and replay µs per user, segment bytes per user, and replay
+#     µs per user and bytes of a compacted base (medians of 5). Pass
+#     -baseline FILE to keep another commit's run beside it.
 #   BENCH_datapath.json — the data plane at 500k-user scale (generate
 #     at workers=1 vs workers=max; Save and Load through a temp file,
 #     Snapshot.Fsck) plus the hand-rolled JSONL codec against
@@ -109,6 +117,8 @@ bench:
 		-bench '^(BenchmarkCounterAdd|BenchmarkHistogramObserve|BenchmarkContended8)$$'
 	$(GO) run ./cmd/benchjson -count 5 -out BENCH_datapath.json -pkg ./internal/dataset \
 		-bench '^(BenchmarkDatapath|BenchmarkJSONL(Encode|Decode))'
+	$(GO) run ./cmd/benchjson -count 5 -out BENCH_journal.json -pkg ./internal/crawler \
+		-bench '^BenchmarkJournal'
 
 # querybench measures the read-side query service under load:
 #   BENCH_query.json — 1M requests over a seeded /v1 mix against an

@@ -21,6 +21,12 @@
 //
 //	go run ./cmd/benchjson -count 5 -out BENCH_datapath.json -pkg ./internal/dataset -bench '^BenchmarkDatapath'
 //
+// Units a benchmark reports with b.ReportMetric (µs/user, B/user, ...)
+// are kept per row under "metrics", as medians for repeated runs. With
+// -baseline FILE an earlier run, such as the parent commit's, is
+// embedded under "baseline", so one file holds a before/after pair
+// measured on the same host.
+//
 // With -scale it instead drives the out-of-core pipeline end to end —
 // sharded generate → fsck → streaming Table 4 as separate processes
 // under a fixed RSS budget — and records each stage's wall time and
@@ -42,6 +48,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -70,6 +77,8 @@ type Result struct {
 	MinNsPerOp  float64 `json:"min_ns_per_op,omitempty"`
 	MaxNsPerOp  float64 `json:"max_ns_per_op,omitempty"`
 	MaxRSSBytes int64   `json:"max_rss_bytes,omitempty"`
+	// Metrics holds the units reported with b.ReportMetric.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Scale describes a -scale pipeline run: the population, the shard
@@ -92,13 +101,15 @@ type File struct {
 	Package     string   `json:"package,omitempty"`
 	Scale       *Scale   `json:"scale,omitempty"`
 	Benchmarks  []Result `json:"benchmarks"`
+	Baseline    *File    `json:"baseline,omitempty"`
 }
 
-// benchLine matches standard `go test -bench` output, with the optional
-// allocation columns, e.g.
+// benchLine matches one `go test -bench` result line: the name with
+// its GOMAXPROCS suffix, the iteration count, then "value unit" pairs,
+// e.g.
 //
-//	BenchmarkHeavytailFit/workers=1-8  12  95104250 ns/op  1024 B/op  17 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+//	BenchmarkHeavytailFit/workers=1-8  12  95104250 ns/op  3.5 us/user  1024 B/op  17 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*\bns/op\b.*)$`)
 
 func main() {
 	log.SetFlags(0)
@@ -114,6 +125,7 @@ func main() {
 		shardSize = flag.Int("shard-size", 250_000, "with -scale: records per shard segment")
 		maxRSSMB  = flag.Int("max-rss-mb", 2048, "with -scale: per-stage RSS budget in MiB; any stage over budget fails the run (0 disables the gate)")
 		workers   = flag.Int("workers", 0, "with -scale: worker pool size passed to each stage")
+		baseline  = flag.String("baseline", "", "earlier benchjson file (e.g. the parent commit's run) to embed as the baseline")
 	)
 	flag.Parse()
 
@@ -165,6 +177,16 @@ func main() {
 	if len(f.Benchmarks) == 0 {
 		log.Fatalf("no benchmark lines matched pattern %q", *pattern)
 	}
+	if *baseline != "" {
+		raw, err := os.ReadFile(*baseline)
+		if err == nil {
+			f.Baseline = &File{}
+			err = json.Unmarshal(raw, f.Baseline)
+		}
+		if err != nil {
+			log.Fatalf("baseline: %v", err)
+		}
+	}
 	writeFile(&f, *out)
 	fmt.Printf("benchjson: %d benchmarks -> %s\n", len(f.Benchmarks), *out)
 	for _, r := range f.Benchmarks {
@@ -215,17 +237,31 @@ func parse(raw []byte, ranGomaxprocs int) []Result {
 		if err != nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(string(m[4]), 64)
-		if err != nil {
-			continue
-		}
-		r := Result{Name: string(m[1]), Gomaxprocs: gmp, Iterations: iters, NsPerOp: ns}
-		if len(m[5]) > 0 && len(m[6]) > 0 {
-			if bpo, err := strconv.ParseInt(string(m[5]), 10, 64); err == nil {
-				if apo, err := strconv.ParseInt(string(m[6]), 10, 64); err == nil {
-					r.BytesPerOp, r.AllocsPerOp = &bpo, &apo
-				}
+		r := Result{Name: string(m[1]), Gomaxprocs: gmp, Iterations: iters}
+		fields := strings.Fields(string(m[4]))
+		for i := 0; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				break
 			}
+			n := int64(v)
+			switch unit := fields[i+1]; unit {
+			case "ns/op":
+				r.NsPerOp = v
+			case "B/op":
+				r.BytesPerOp = &n
+			case "allocs/op":
+				r.AllocsPerOp = &n
+			case "MB/s":
+			default:
+				if r.Metrics == nil {
+					r.Metrics = map[string]float64{}
+				}
+				r.Metrics[unit] = v
+			}
+		}
+		if r.BytesPerOp == nil || r.AllocsPerOp == nil {
+			r.BytesPerOp, r.AllocsPerOp = nil, nil // summarize reads them as a pair
 		}
 		out = append(out, r)
 	}
@@ -265,6 +301,12 @@ func summarize(runs []Result) []Result {
 			bpo := int64(median(sorted(rs, func(r Result) float64 { return float64(*r.BytesPerOp) })))
 			apo := int64(median(sorted(rs, func(r Result) float64 { return float64(*r.AllocsPerOp) })))
 			row.BytesPerOp, row.AllocsPerOp = &bpo, &apo
+		}
+		if row.Metrics != nil {
+			row.Metrics = map[string]float64{}
+			for unit := range rs[0].Metrics {
+				row.Metrics[unit] = median(sorted(rs, func(r Result) float64 { return r.Metrics[unit] }))
+			}
 		}
 		out = append(out, row)
 	}

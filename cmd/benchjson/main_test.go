@@ -31,3 +31,23 @@ func TestMedianEvenCount(t *testing.T) {
 		t.Fatalf("median = %v, want 3", m)
 	}
 }
+
+// Units reported with b.ReportMetric sit between ns/op and B/op; they
+// are kept per row, as medians, and the standard columns still parse.
+func TestParseReportedMetrics(t *testing.T) {
+	raw := []byte(`BenchmarkJ-2  4  2000 ns/op  576.0 B/user  0.80 us/user  64 B/op  2 allocs/op
+BenchmarkJ-2  4  3000 ns/op  576.0 B/user  0.60 us/user  64 B/op  2 allocs/op
+BenchmarkJ-2  4  1000 ns/op  576.0 B/user  0.70 us/user  64 B/op  2 allocs/op
+`)
+	got := summarize(parse(raw, 2))
+	if len(got) != 1 {
+		t.Fatalf("rows = %+v, want one", got)
+	}
+	j := got[0]
+	if j.NsPerOp != 2000 || *j.BytesPerOp != 64 || *j.AllocsPerOp != 2 {
+		t.Fatalf("standard columns = %+v", j)
+	}
+	if j.Metrics["B/user"] != 576 || j.Metrics["us/user"] != 0.7 || len(j.Metrics) != 2 {
+		t.Fatalf("metrics = %v, want B/user 576 and median us/user 0.7", j.Metrics)
+	}
+}

@@ -88,7 +88,6 @@ func (o Options) withDefaults() Options {
 type Study struct {
 	opts     Options
 	universe *simworld.Universe
-	second   *simworld.Universe
 	snap     *dataset.Snapshot
 	vectors  *analysis.Vectors
 	vectors2 *analysis.Vectors
@@ -109,8 +108,7 @@ func New(opts Options) (*Study, error) {
 	s.snap = dataset.FromUniverse(u)
 	s.vectors = analysis.Extract(s.snap)
 	if !opts.SkipSecondSnapshot {
-		s.second = simworld.Evolve(u)
-		s.vectors2 = analysis.Extract(dataset.FromUniverse(s.second))
+		s.vectors2 = analysis.Extract(dataset.FromUniverse(simworld.Evolve(u)))
 	}
 	return s, nil
 }

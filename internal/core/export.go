@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"steamstudy/internal/analysis"
 	"steamstudy/internal/report"
@@ -99,9 +100,7 @@ func (s *Study) ExportCSV(dir string) error {
 	// Figure 2.
 	rows = nil
 	for _, series := range analysis.Figure2DegreeDistributions(s.vectors, s.opts.Years) {
-		for k, v := range series.Hist {
-			rows = append(rows, []string{series.Label, fmt.Sprint(k), fmt.Sprint(v)})
-		}
+		rows = histRows(rows, series.Label, series.Hist)
 	}
 	if err := write("fig2_degrees.csv", []string{"series", "friends", "users"}, rows); err != nil {
 		return err
@@ -120,12 +119,8 @@ func (s *Study) ExportCSV(dir string) error {
 	// Figure 4.
 	f4 := analysis.Figure4Ownership(s.vectors)
 	rows = nil
-	for k, v := range f4.OwnedHist {
-		rows = append(rows, []string{"owned", fmt.Sprint(k), fmt.Sprint(v)})
-	}
-	for k, v := range f4.PlayedHist {
-		rows = append(rows, []string{"played", fmt.Sprint(k), fmt.Sprint(v)})
-	}
+	rows = histRows(rows, "owned", f4.OwnedHist)
+	rows = histRows(rows, "played", f4.PlayedHist)
 	if err := write("fig4_ownership.csv", []string{"series", "games", "users"}, rows); err != nil {
 		return err
 	}
@@ -224,4 +219,18 @@ func (s *Study) ExportCSV(dir string) error {
 		}
 	}
 	return nil
+}
+
+// histRows appends one (label, key, count) row per histogram bin, in
+// ascending key order so the file's bytes never depend on map order.
+func histRows(rows [][]string, label string, hist map[int]int) [][]string {
+	keys := make([]int, 0, len(hist))
+	for k := range hist {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		rows = append(rows, []string{label, fmt.Sprint(k), fmt.Sprint(hist[k])})
+	}
+	return rows
 }

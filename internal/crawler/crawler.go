@@ -340,10 +340,8 @@ func (c *Crawler) Run(ctx context.Context) (*dataset.Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("crawler: phase 2 (accounts): %w", err)
 		}
-		if jr != nil {
-			if err := jr.appendPhaseDone(2); err != nil {
-				return nil, err
-			}
+		if err := jr.appendPhaseDone(2); err != nil {
+			return nil, err
 		}
 		c.cfg.Logf("phase 2 complete: %d accounts detailed", len(snap.Users))
 	}
@@ -352,12 +350,10 @@ func (c *Crawler) Run(ctx context.Context) (*dataset.Snapshot, error) {
 	// phases; skip them and journal the markers so a resumed run over the
 	// same journal reaches the same decision without re-evaluating.
 	if c.cfg.SkipTailOnEmpty && len(snap.Users) == 0 {
-		if jr != nil {
-			for _, phase := range []uint8{3, 4, 5} {
-				if !st.phaseDone[phase] {
-					if err := jr.appendPhaseDone(phase); err != nil {
-						return nil, err
-					}
+		for _, phase := range []uint8{3, 4, 5} {
+			if !st.phaseDone[phase] {
+				if err := jr.appendPhaseDone(phase); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -375,21 +371,15 @@ func (c *Crawler) Run(ctx context.Context) (*dataset.Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("crawler: phase 3 (catalog): %w", err)
 		}
-		if jr != nil {
-			if err := jr.appendPhaseDone(3); err != nil {
-				return nil, err
-			}
+		if err := jr.appendPhaseDone(3); err != nil {
+			return nil, err
 		}
 		c.cfg.Logf("phase 3 complete: %d products", len(snap.Games))
 	}
 
 	// Phase 4: achievements. Replayed achievement sets are attached to
 	// their games; only the remainder is fetched.
-	for i := range snap.Games {
-		if ach, ok := st.ach[snap.Games[i].AppID]; ok {
-			snap.Games[i].Achievements = ach
-		}
-	}
+	st.attachAch(snap.Games)
 	if !st.phaseDone[4] {
 		sp := c.obs.Span("crawler_phase4_achievements")
 		sp.Start()
@@ -398,10 +388,8 @@ func (c *Crawler) Run(ctx context.Context) (*dataset.Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("crawler: phase 4 (achievements): %w", err)
 		}
-		if jr != nil {
-			if err := jr.appendPhaseDone(4); err != nil {
-				return nil, err
-			}
+		if err := jr.appendPhaseDone(4); err != nil {
+			return nil, err
 		}
 	}
 
@@ -415,10 +403,8 @@ func (c *Crawler) Run(ctx context.Context) (*dataset.Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("crawler: phase 5 (groups): %w", err)
 		}
-		if jr != nil {
-			if err := jr.appendPhaseDone(5); err != nil {
-				return nil, err
-			}
+		if err := jr.appendPhaseDone(5); err != nil {
+			return nil, err
 		}
 	}
 	c.cfg.Logf("crawl complete: %d users, %d games, %d groups",
@@ -605,10 +591,8 @@ func (c *Crawler) fetchAccounts(ctx context.Context, snap *dataset.Snapshot, pro
 		}
 		snap.Users = append(snap.Users, r.rec)
 		c.Metrics.UsersDone.Add(1)
-		if jr != nil {
-			if err := jr.appendUser(&r.rec); err != nil {
-				return err
-			}
+		if err := jr.appendUser(&r.rec); err != nil {
+			return err
 		}
 	}
 	return ctx.Err()
@@ -777,10 +761,7 @@ func (c *Crawler) fetchCatalog(ctx context.Context, snap *dataset.Snapshot, st *
 				return nil
 			}
 			snap.Games = append(snap.Games, *rec)
-			if jr != nil {
-				return jr.appendGame(rec)
-			}
-			return nil
+			return jr.appendGame(rec)
 		})
 }
 
@@ -816,10 +797,7 @@ func (c *Crawler) fetchAchievements(ctx context.Context, snap *dataset.Snapshot,
 		func(i int, ach []dataset.AchievementRecord) error {
 			gi := todo[i]
 			snap.Games[gi].Achievements = ach
-			if jr != nil {
-				return jr.appendAch(snap.Games[gi].AppID, ach)
-			}
-			return nil
+			return jr.appendAch(snap.Games[gi].AppID, ach)
 		})
 }
 
@@ -874,10 +852,7 @@ func (c *Crawler) fetchGroups(ctx context.Context, snap *dataset.Snapshot, st *c
 		},
 		func(_ int, rec dataset.GroupRecord) error {
 			snap.Groups = append(snap.Groups, rec)
-			if jr != nil {
-				return jr.appendGroup(&rec)
-			}
-			return nil
+			return jr.appendGroup(&rec)
 		})
 }
 

@@ -54,32 +54,45 @@ type Fence struct {
 // file returns the zero Fence (epoch 0 = unfenced) and no error.
 func ReadFence(dir string) (Fence, error) {
 	var f Fence
-	raw, err := os.ReadFile(filepath.Join(dir, fenceName))
-	if os.IsNotExist(err) {
-		return f, nil
-	}
-	if err != nil {
-		return f, fmt.Errorf("crawler: fence read: %w", err)
-	}
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return f, fmt.Errorf("crawler: fence decode: %w", err)
-	}
-	return f, nil
+	_, err := readJSON(dir, fenceName, &f)
+	return f, err
 }
 
-// writeFence durably publishes the fence: temp file, fsync, rename,
-// directory fsync — the same discipline as the journal base, so the
-// epoch bump is on disk before the new owner writes its first record.
+// readJSON decodes dir/name into v and reports whether the file exists;
+// a missing file is not an error.
+func readJSON(dir, name string, v any) (bool, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, name))
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err == nil {
+		err = json.Unmarshal(raw, v)
+	}
+	if err != nil {
+		return true, fmt.Errorf("crawler: %s: %w", name, err)
+	}
+	return true, nil
+}
+
+// writeFence durably publishes the fence, so the epoch bump is on disk
+// before the new owner writes its first record.
 func writeFence(dir string, f Fence) error {
-	raw, err := json.MarshalIndent(f, "", "  ")
+	return publishJSON(dir, fenceName, f)
+}
+
+// publishJSON durably replaces dir/name with v as indented JSON: temp
+// file, fsync, rename, directory fsync. The fence and the compacted
+// base's sidecar are published this way.
+func publishJSON(dir, name string, v any) error {
+	raw, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("crawler: fence encode: %w", err)
+		return fmt.Errorf("crawler: %s encode: %w", name, err)
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-fence-")
+	tmp, err := os.CreateTemp(dir, ".tmp-"+name+"-")
 	if err != nil {
-		return fmt.Errorf("crawler: fence temp: %w", err)
+		return fmt.Errorf("crawler: %s temp: %w", name, err)
 	}
-	name := tmp.Name()
+	tmpName := tmp.Name()
 	if _, err := tmp.Write(raw); err == nil {
 		err = tmp.Sync()
 	}
@@ -87,12 +100,12 @@ func writeFence(dir string, f Fence) error {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(name)
-		return fmt.Errorf("crawler: fence write: %w", err)
+		os.Remove(tmpName)
+		return fmt.Errorf("crawler: %s write: %w", name, err)
 	}
-	if err := os.Rename(name, filepath.Join(dir, fenceName)); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("crawler: fence publish: %w", err)
+	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("crawler: %s publish: %w", name, err)
 	}
 	return syncJournalDir(dir)
 }

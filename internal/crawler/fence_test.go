@@ -1,29 +1,23 @@
 package crawler
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"steamstudy/internal/dataset"
 )
 
-// frameRecord encodes one journal record with the length+CRC framing the
+// frameRecord encodes one user record with the length+CRC framing the
 // append path uses, so tests can forge segment contents byte-for-byte.
-func frameRecord(t *testing.T, rec *journalRecord) []byte {
+func frameRecord(t *testing.T, u *dataset.UserRecord) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(make([]byte, recHeaderSize))
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	b, err := encodeRecord(&journalRecord{Kind: kindUser, Line: dataset.Record{Kind: dataset.KindUser, User: *u}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	payload := b[recHeaderSize:]
-	binary.BigEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
 	return b
 }
 
@@ -149,7 +143,7 @@ func TestJournalSealClampsLateAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(frameRecord(t, &journalRecord{Kind: kindUser, User: testUser(666)})); err != nil {
+	if _, err := f.Write(frameRecord(t, testUser(666))); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -193,7 +187,7 @@ func TestJournalReplaySkipsBelowFenceSegments(t *testing.T) {
 	copy(hdr[0:4], segMagic)
 	binary.BigEndian.PutUint32(hdr[4:8], segHeaderVersion)
 	binary.BigEndian.PutUint64(hdr[8:16], 1)
-	forged := append(hdr[:], frameRecord(t, &journalRecord{Kind: kindUser, User: testUser(666)})...)
+	forged := append(hdr[:], frameRecord(t, testUser(666))...)
 	if err := os.WriteFile(filepath.Join(dir, segName(w2.seq+1)), forged, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,25 @@
 // Journaled checkpoints. The paper's phase 2 ran for six months; a crawl
 // at that scale must survive process death at any instant without losing
-// or duplicating work. The old checkpoint rewrote the full account list
-// as one gob blob — O(crawl) bytes per flush and phase-2-only. This
-// journal is append-only: every completed unit of work (a detailed user,
-// a catalog entry, a game's achievements, a categorized group, a
-// phase-completion marker) is one length-prefixed, CRC-guarded gob record
-// appended to the active segment. A flush touches exactly one segment;
-// segments rotate at a size threshold; replay tolerates a crash-truncated
-// tail record by truncating it away and resuming the append from there.
+// or duplicating work. The journal is append-only: every completed unit
+// of work (a detailed user, a catalog entry, a game's achievements, a
+// categorized group, a phase-completion marker) is one length-prefixed,
+// CRC-guarded record appended to the active segment; its payload is a
+// kind byte and the record's snapshot JSONL line, in the dataset codec.
+// A flush touches exactly one segment; segments rotate at a size
+// threshold; replay tolerates a crash-truncated tail record by truncating
+// it away and resuming the append from there. Compaction seals the
+// replayed state into a base that is itself a snapshot.
 
 package crawler
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,19 +38,13 @@ const (
 	kindPhaseDone uint8 = 5 // a phase completed
 )
 
-// journalRecord is the union of everything the journal stores. Exactly
-// one payload field is set, selected by Kind.
+// journalRecord is one unit of journaled work: a phase marker, or a
+// record stored as its snapshot line. A kindAch line is a game carrying
+// only AppID and Achievements (possibly empty).
 type journalRecord struct {
 	Kind  uint8
-	Phase uint8 // kindPhaseDone: which phase finished
-
-	User  *dataset.UserRecord
-	Game  *dataset.GameRecord
-	Group *dataset.GroupRecord
-
-	// kindAch payload: the achievements (possibly empty) of one app.
-	AppID        uint32
-	Achievements []dataset.AchievementRecord
+	Phase uint8          // kindPhaseDone: which phase finished
+	Line  dataset.Record // every other kind
 }
 
 // crawlState is the result of replaying a journal: everything a resumed
@@ -84,42 +77,32 @@ func newCrawlState() *crawlState {
 }
 
 func (st *crawlState) apply(rec *journalRecord) {
+	l := &rec.Line
 	switch rec.Kind {
 	case kindUser:
-		if rec.User != nil {
-			if i, ok := st.userIdx[rec.User.SteamID]; ok {
-				st.users[i] = *rec.User
-			} else {
-				st.userIdx[rec.User.SteamID] = len(st.users)
-				st.users = append(st.users, *rec.User)
-			}
-		}
+		upsert(&st.users, st.userIdx, l.User.SteamID, l.User)
 	case kindGame:
-		if rec.Game != nil {
-			if i, ok := st.gameIdx[rec.Game.AppID]; ok {
-				st.games[i] = *rec.Game
-			} else {
-				st.gameIdx[rec.Game.AppID] = len(st.games)
-				st.games = append(st.games, *rec.Game)
-			}
-		}
+		upsert(&st.games, st.gameIdx, l.Game.AppID, l.Game)
 	case kindAch:
-		st.ach[rec.AppID] = rec.Achievements
-		st.achDone[rec.AppID] = true
+		st.ach[l.Game.AppID] = l.Game.Achievements
+		st.achDone[l.Game.AppID] = true
 	case kindGroup:
-		if rec.Group != nil {
-			if i, ok := st.groupIdx[rec.Group.GID]; ok {
-				st.groups[i] = *rec.Group
-			} else {
-				st.groupIdx[rec.Group.GID] = len(st.groups)
-				st.groups = append(st.groups, *rec.Group)
-			}
-		}
+		upsert(&st.groups, st.groupIdx, l.Group.GID, l.Group)
 	case kindPhaseDone:
 		if int(rec.Phase) < len(st.phaseDone) {
 			st.phaseDone[rec.Phase] = true
 		}
 	}
+}
+
+// upsert replaces the record of key k in *s, or appends v as a new key.
+func upsert[K comparable, V any](s *[]V, idx map[K]int, k K, v V) {
+	if i, ok := idx[k]; ok {
+		(*s)[i] = v
+		return
+	}
+	idx[k] = len(*s)
+	*s = append(*s, v)
 }
 
 // snapshot assembles the replayed state into a dataset snapshot: games
@@ -132,46 +115,50 @@ func (st *crawlState) snapshot(collectedAt int64) *dataset.Snapshot {
 		Games:       st.games,
 		Groups:      st.groups,
 	}
-	for i := range snap.Games {
-		if ach, ok := st.ach[snap.Games[i].AppID]; ok {
-			snap.Games[i].Achievements = ach
-		}
-	}
+	st.attachAch(snap.Games)
 	sortSnapshot(snap)
 	return snap
 }
 
+// attachAch gives each game its journaled achievement set.
+func (st *crawlState) attachAch(games []dataset.GameRecord) {
+	for i := range games {
+		if ach, ok := st.ach[games[i].AppID]; ok {
+			games[i].Achievements = ach
+		}
+	}
+}
+
 const (
 	segPrefix = "journal-"
-	segSuffix = ".seg"
-	// baseName is the compacted prefix of the journal: everything sealed
-	// by the last Compact, as one CRC-framed gob blob. Replay loads it
-	// first, then only the segments appended since, bounding replay time.
-	baseName = "journal-base.gob"
+	segSuffix = ".jseg"
+	// baseMetaName is the compacted base's sidecar (see baseMeta); the
+	// base itself is basePrefix + its last sequence + ".jsonl.gz".
+	baseMetaName = "journal-base.json"
+	basePrefix   = "journal-base-"
+	// legacyBaseName and legacySegSuffix mark a journal of gob records.
+	legacyBaseName  = "journal-base.gob"
+	legacySegSuffix = ".seg"
 	// recHeaderSize prefixes every record: uint32 payload length +
 	// uint32 CRC-32 (IEEE) of the payload, both big-endian.
 	recHeaderSize = 8
 	// defaultSegmentBytes rotates segments at 4 MiB.
 	defaultSegmentBytes = 4 << 20
 
-	// segMagic opens every segment created by an epoch-bearing (fenced)
-	// writer; records follow a fixed 16-byte header naming the writer's
-	// epoch. Segments written by epoch-zero (solo) journals have no
-	// header and are byte-identical to the unfenced format.
-	segMagic = "SEGF"
-	// segHeaderVersion is the header layout version.
+	// segMagic opens the 16-byte header of every segment an epoch-bearing
+	// (fenced) writer creates: magic, uint32 header layout version and
+	// uint64 writer epoch, big-endian. Solo (epoch-zero) segments have none.
+	segMagic         = "SEGF"
 	segHeaderVersion = 1
-	// segHeaderSize is magic (4) + uint32 version + uint64 epoch, both
-	// big-endian.
-	segHeaderSize = 16
+	segHeaderSize    = 16
 )
 
 // journalCrashHook, when non-nil, is consulted at named crashpoints in
 // the journal's write path; returning an error aborts there, leaving the
 // files exactly as a process death at that instant would. Test-only.
 // Points: "append" (record durable in the segment, caller not yet acked),
-// "compact-sealed" (base written and verified, sealed segments not yet
-// deleted).
+// "compact-base" (base saved and verified, its sidecar not yet published),
+// "compact-sealed" (base committed, sealed segments not yet deleted).
 var journalCrashHook func(point string) error
 
 func journalCrash(point string) error {
@@ -180,6 +167,11 @@ func journalCrash(point string) error {
 	}
 	return nil
 }
+
+// ErrOldJournal reports a journal directory of gob records (*.seg,
+// journal-base.gob), written by an older build. Open refuses it before
+// any replay and leaves every file as it is.
+var ErrOldJournal = errors.New("crawler: journal written by an older build (gob records)")
 
 // journal is the append side. All methods are safe for concurrent use.
 type journal struct {
@@ -209,14 +201,12 @@ func segName(seq int) string {
 }
 
 func segSeq(name string) (int, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-		return 0, false
+	digits, pre := strings.CutPrefix(name, segPrefix)
+	if digits, suf := strings.CutSuffix(digits, segSuffix); pre && suf {
+		n, err := strconv.Atoi(digits)
+		return n, err == nil
 	}
-	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix))
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+	return 0, false
 }
 
 // openJournal replays the base snapshot (if a Compact ever ran) and every
@@ -253,6 +243,15 @@ func openJournalAt(dir string, maxSeg int64, m *Metrics, epoch uint64) (*journal
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("crawler: journal dir: %w", err)
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("crawler: journal dir: %w", err)
+	}
+	for _, e := range entries {
+		if name := e.Name(); name == legacyBaseName || strings.HasSuffix(name, legacySegSuffix) {
+			return nil, nil, fmt.Errorf("crawler: journal %s holds %s: %w", dir, name, ErrOldJournal)
+		}
+	}
 	fence, err := ReadFence(dir)
 	if err != nil {
 		return nil, nil, err
@@ -265,39 +264,33 @@ func openJournalAt(dir string, maxSeg int64, m *Metrics, epoch uint64) (*journal
 	}
 
 	st := newCrawlState()
-	// A base, when present, replaces the segments it sealed. Segments at
-	// or below its sequence may still exist if a crash landed between the
-	// base publish and the segment deletes; they are skipped (the base
-	// already holds their records, possibly superseded) and swept here.
+	// A committed base replaces the segments it sealed. Segments at or
+	// below its sequence, and bases other than the committed one, may
+	// still exist if a crash landed between a compaction's publish and its
+	// deletes; they are skipped (the base already holds their records,
+	// possibly superseded) and swept here.
 	baseSeq := 0
-	if base, err := readBase(filepath.Join(dir, baseName)); err != nil {
+	var meta baseMeta
+	if found, err := readJSON(dir, baseMetaName, &meta); err != nil {
 		return nil, nil, fmt.Errorf("crawler: journal base: %w", err)
-	} else if base != nil {
-		st.applyBase(base)
-		baseSeq = base.UpToSeq
-		if m != nil {
-			m.JournalRecords.Add(int64(len(base.Users) + len(base.Games) + len(base.Groups) + len(base.AchDone)))
+	} else if found {
+		if err := st.loadBase(filepath.Join(dir, baseFile(meta.UpToSeq)), &meta); err != nil {
+			return nil, nil, fmt.Errorf("crawler: journal base: %w", err)
 		}
-	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("crawler: journal dir: %w", err)
+		baseSeq = meta.UpToSeq
+		if m != nil {
+			m.JournalRecords.Add(int64(len(st.users) + len(st.games) + len(st.groups) + len(st.achDone)))
+		}
 	}
 	readonly := epoch == 0 && fence.Epoch > 0
+	if !readonly {
+		_ = sweepSealed(dir, baseSeq) // best-effort: the next open sweeps again
+	}
 	var seqs []int
 	for _, e := range entries {
-		n, ok := segSeq(e.Name())
-		if !ok || e.IsDir() {
-			continue
+		if n, ok := segSeq(e.Name()); ok && !e.IsDir() && n > baseSeq {
+			seqs = append(seqs, n)
 		}
-		if n <= baseSeq {
-			if !readonly {
-				os.Remove(filepath.Join(dir, e.Name())) // sealed leftover; best-effort sweep
-			}
-			continue
-		}
-		seqs = append(seqs, n)
 	}
 	sort.Ints(seqs)
 
@@ -311,7 +304,11 @@ func openJournalAt(dir string, maxSeg int64, m *Metrics, epoch uint64) (*journal
 	for i, seq := range seqs {
 		last := i == len(seqs)-1
 		path := filepath.Join(dir, segName(seq))
-		segEpoch, hdr, err := readSegHeader(path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, nil, fmt.Errorf("crawler: journal segment %s: %w", path, err)
+		}
+		segEpoch, hdr, err := segHeader(raw)
 		if err != nil {
 			return nil, nil, fmt.Errorf("crawler: journal segment %s: %w", path, err)
 		}
@@ -326,7 +323,7 @@ func openJournalAt(dir string, maxSeg int64, m *Metrics, epoch uint64) (*journal
 			if seal < hdr {
 				seal = hdr
 			}
-			valid, err = replayRange(path, st, m, hdr, seal)
+			valid, err = replay(raw[:min(seal, int64(len(raw)))], hdr, st, m)
 			if err != nil {
 				return nil, nil, fmt.Errorf("crawler: journal segment %s (sealed at %d): %w", path, seal, err)
 			}
@@ -340,7 +337,7 @@ func openJournalAt(dir string, maxSeg int64, m *Metrics, epoch uint64) (*journal
 			// value-identical work at best — skip the whole segment.
 			valid = hdr
 		default:
-			valid, err = replayRange(path, st, m, hdr, -1)
+			valid, err = replay(raw, hdr, st, m)
 			if err != nil {
 				if !last {
 					return nil, nil, fmt.Errorf("crawler: journal segment %s: %w", path, err)
@@ -385,17 +382,11 @@ func openJournalAt(dir string, maxSeg int64, m *Metrics, epoch uint64) (*journal
 		if err := writeFence(dir, fence); err != nil {
 			return nil, nil, err
 		}
-		nextSeq := j.seq
-		if len(seqs) > 0 {
-			nextSeq++
-		}
-		if err := j.createFencedSegment(nextSeq); err != nil {
-			return nil, nil, err
-		}
+		fallthrough
 	case epoch > 0 && !lastUnsealedOK:
-		// Our own journal, but the last segment is not appendable (sealed
-		// by our takeover crash-window, torn below a usable header, or
-		// absent): start a fresh one.
+		// A takeover, or our own journal whose last segment is not
+		// appendable (sealed by our takeover crash-window, torn below a
+		// usable header, or absent): start a fresh one.
 		nextSeq := j.seq
 		if len(seqs) > 0 {
 			nextSeq++
@@ -428,34 +419,20 @@ func openJournalAt(dir string, maxSeg int64, m *Metrics, epoch uint64) (*journal
 	return j, st, nil
 }
 
-// readSegHeader classifies a segment: fenced segments open with segMagic
-// and carry their writer's epoch; anything else (including every segment
-// a solo crawl writes) is the headerless legacy layout, epoch zero. A
-// file too short to hold a whole header is legacy — if its bytes are a
-// torn fenced header, replay-from-zero reports a torn record at offset 0,
-// which the tail-truncation path cleans up exactly like any torn append.
-func readSegHeader(path string) (epoch uint64, hdr int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	var b [segHeaderSize]byte
-	n, err := io.ReadFull(f, b[:])
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, 0, nil
-		}
-		return 0, 0, err
-	}
-	_ = n
-	if string(b[0:4]) != segMagic {
+// segHeader classifies a segment's bytes: fenced segments open with
+// segMagic and carry their writer's epoch; anything else (including every
+// segment a solo crawl writes) is the headerless layout, epoch zero. A
+// file too short to hold a whole header is headerless — if its bytes are
+// a torn fenced header, replay reports a torn record at offset 0, which
+// the tail-truncation path cleans up exactly like any torn append.
+func segHeader(raw []byte) (epoch uint64, hdr int64, err error) {
+	if len(raw) < segHeaderSize || string(raw[0:4]) != segMagic {
 		return 0, 0, nil
 	}
-	if v := binary.BigEndian.Uint32(b[4:8]); v != segHeaderVersion {
+	if v := binary.BigEndian.Uint32(raw[4:8]); v != segHeaderVersion {
 		return 0, 0, fmt.Errorf("segment header version %d is newer than this binary understands", v)
 	}
-	return binary.BigEndian.Uint64(b[8:16]), segHeaderSize, nil
+	return binary.BigEndian.Uint64(raw[8:16]), segHeaderSize, nil
 }
 
 // writeSegHeaderLocked stamps the active segment's epoch header. The
@@ -495,85 +472,104 @@ func (j *journal) createFencedSegment(startSeq int) error {
 	}
 }
 
-// replaySegment applies every whole record in the segment to st and
-// returns the byte offset just past the last whole record (the legacy,
-// headerless, unsealed form — tests exercise the raw record framing
-// through it).
-func replaySegment(path string, st *crawlState, m *Metrics) (int64, error) {
-	return replayRange(path, st, m, 0, -1)
-}
-
-// replayRange applies every whole record in the segment between byte
-// offsets start and limit (limit < 0: to EOF) to st and returns the
-// absolute byte offset just past the last whole record. The error is
-// non-nil when the range ends in a partial or corrupt record; it names
-// the record index and byte offset so a failed resume points at the exact
+// replay applies every whole record of seg from byte offset start to
+// st and returns the offset just past the last whole record. The error
+// is non-nil when seg ends in a partial or corrupt record; it names the
+// record index and byte offset so a failed resume points at the exact
 // spot in the offending shard file, not just "record 17 somewhere".
-func replayRange(path string, st *crawlState, m *Metrics, start, limit int64) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return start, err
-	}
-	defer f.Close()
-	if start > 0 {
-		if _, err := f.Seek(start, io.SeekStart); err != nil {
-			return start, err
-		}
-	}
-	var r io.Reader = f
-	if limit >= 0 {
-		if limit < start {
-			return start, fmt.Errorf("segment seal %d below header end %d", limit, start)
-		}
-		r = io.LimitReader(f, limit-start)
-	}
+func replay(seg []byte, start int64, st *crawlState, m *Metrics) (int64, error) {
 	var (
-		valid  = start
-		index  int64
-		header [recHeaderSize]byte
+		dec   dataset.LineDecoder
+		rec   journalRecord
+		index int64
 	)
-	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			if err == io.EOF {
-				return valid, nil // clean end
-			}
-			return valid, fmt.Errorf("record %d at byte offset %d: torn record header: %w", index, valid, err)
+	for valid := start; ; index++ {
+		rest := seg[min(valid, int64(len(seg))):]
+		switch {
+		case len(rest) == 0:
+			return valid, nil // clean end
+		case len(rest) < recHeaderSize:
+			return valid, fmt.Errorf("record %d at byte offset %d: torn record header", index, valid)
 		}
-		length := binary.BigEndian.Uint32(header[0:4])
-		sum := binary.BigEndian.Uint32(header[4:8])
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return valid, fmt.Errorf("record %d at byte offset %d: torn record payload: %w", index, valid, err)
+		length := int64(binary.BigEndian.Uint32(rest[0:4]))
+		if int64(len(rest)-recHeaderSize) < length {
+			return valid, fmt.Errorf("record %d at byte offset %d: torn record payload", index, valid)
 		}
-		if crc32.ChecksumIEEE(payload) != sum {
+		payload := rest[recHeaderSize : recHeaderSize+length]
+		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[4:8]) {
 			return valid, fmt.Errorf("record %d at byte offset %d: record checksum mismatch", index, valid)
 		}
-		var rec journalRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		if err := decodeRecord(&dec, payload, &rec); err != nil {
 			return valid, fmt.Errorf("record %d at byte offset %d: record decode: %w", index, valid, err)
 		}
 		st.apply(&rec)
-		valid += recHeaderSize + int64(length)
-		index++
+		valid += recHeaderSize + length
 		if m != nil {
 			m.JournalRecords.Add(1)
 		}
 	}
 }
 
-// append encodes one record, writes it to the active segment, and flushes
-// it to the OS, rotating to a fresh segment first when the active one is
-// full. One append touches exactly one segment.
-func (j *journal) append(rec *journalRecord) error {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, recHeaderSize)) // header placeholder
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return fmt.Errorf("crawler: journal encode: %w", err)
+// lineKinds maps every record kind but kindPhaseDone to its line's kind.
+var lineKinds = map[uint8]dataset.RecordKind{kindUser: dataset.KindUser, kindGame: dataset.KindGame, kindAch: dataset.KindGame, kindGroup: dataset.KindGroup}
+
+// encodeRecord frames one record as the journal stores it: payload
+// length and CRC-32, then the payload — the kind byte, then the phase
+// byte of a phase marker or the record's snapshot line.
+func encodeRecord(rec *journalRecord) ([]byte, error) {
+	b := append(make([]byte, recHeaderSize, 256), rec.Kind)
+	var err error
+	switch {
+	case rec.Kind == kindPhaseDone:
+		b = append(b, rec.Phase)
+	case lineKinds[rec.Kind] != rec.Line.Kind:
+		return nil, fmt.Errorf("crawler: journal record kind %d with a line of kind %d", rec.Kind, rec.Line.Kind)
+	default:
+		if b, err = dataset.AppendRecordLine(b, &rec.Line); err != nil {
+			return nil, fmt.Errorf("crawler: journal encode: %w", err)
+		}
 	}
-	b := buf.Bytes()
 	payload := b[recHeaderSize:]
 	binary.BigEndian.PutUint32(b[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	return b, nil
+}
+
+// decodeRecord is encodeRecord's inverse for payload p. One dec serves a
+// whole replay, so its vocabulary interning carries across records.
+func decodeRecord(dec *dataset.LineDecoder, p []byte, rec *journalRecord) error {
+	if len(p) < 2 {
+		return fmt.Errorf("%d-byte payload", len(p))
+	}
+	rec.Kind = p[0]
+	if rec.Kind == kindPhaseDone {
+		if len(p) != 2 {
+			return fmt.Errorf("%d-byte phase marker", len(p))
+		}
+		rec.Phase = p[1]
+		return nil
+	}
+	if err := dec.Decode(p[1:], &rec.Line); err != nil {
+		return err
+	}
+	if lineKinds[rec.Kind] != rec.Line.Kind {
+		return fmt.Errorf("record kind %d holds a line of kind %d", rec.Kind, rec.Line.Kind)
+	}
+	return nil
+}
+
+// append encodes one record, writes it to the active segment, and flushes
+// it to the OS, rotating to a fresh segment first when the active one is
+// full. One append touches exactly one segment. A crawl without a
+// journal has a nil one, to which every append is a no-op.
+func (j *journal) append(rec *journalRecord) error {
+	if j == nil {
+		return nil
+	}
+	b, err := encodeRecord(rec)
+	if err != nil {
+		return err
+	}
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -639,38 +635,44 @@ func (j *journal) checkFenceLocked() error {
 // successor (or a fenced-out straggler) raced us — re-check the fence and
 // either fail fenced or take the next free sequence.
 func (j *journal) rotateLocked() error {
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("crawler: journal sync: %w", err)
+	if err := j.sealLocked(); err != nil {
+		return fmt.Errorf("crawler: journal seal: %w", err)
 	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("crawler: journal close: %w", err)
+	if err := j.openSegmentLocked(j.seq + 1); err != nil {
+		return fmt.Errorf("crawler: journal rotate: %w", err)
 	}
 	if j.epoch > 0 {
-		seq := j.seq
-		if err := j.createFencedSegment(j.seq + 1); err != nil {
-			j.f = nil
-			j.seq = seq
-			return fmt.Errorf("crawler: journal rotate: %w", err)
-		}
 		if err := j.checkFenceLocked(); err != nil {
 			return err
 		}
-		if j.metrics != nil {
-			j.metrics.JournalSegments.Add(1)
-		}
-		return nil
 	}
-	j.seq++
-	f, err := os.OpenFile(filepath.Join(j.dir, segName(j.seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("crawler: journal rotate: %w", err)
-	}
-	j.f = f
-	j.size = 0
-	j.hdr = 0
 	if j.metrics != nil {
 		j.metrics.JournalSegments.Add(1)
 	}
+	return nil
+}
+
+// sealLocked fsyncs and closes the active segment.
+func (j *journal) sealLocked() error {
+	err := j.f.Sync()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	j.f = nil
+	return err
+}
+
+// openSegmentLocked starts appending to a fresh segment at seq; an
+// epoch-bearing writer takes the first free sequence from there.
+func (j *journal) openSegmentLocked(seq int) error {
+	if j.epoch > 0 {
+		return j.createFencedSegment(seq)
+	}
+	f, err := os.OpenFile(filepath.Join(j.dir, segName(seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	j.f, j.seq, j.size, j.hdr = f, seq, 0, 0
 	return nil
 }
 
@@ -689,114 +691,122 @@ func (j *journal) Close() error {
 	if j.f == nil {
 		return nil
 	}
-	err1 := j.f.Sync()
-	err2 := j.f.Close()
-	j.f = nil
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return j.sealLocked()
 }
 
-// journalBase is the compacted prefix of a journal: the fully replayed
-// state up to and including segment UpToSeq, stored as one CRC-framed gob
-// blob so a resume reads it in a single decode instead of re-replaying
-// months of segments.
-type journalBase struct {
-	UpToSeq   int
-	Users     []dataset.UserRecord
-	Games     []dataset.GameRecord
-	Groups    []dataset.GroupRecord
-	Ach       map[uint32][]dataset.AchievementRecord
-	AchDone   map[uint32]bool
-	PhaseDone [6]bool
+// baseMeta is the sidecar of a compacted base; publishing it commits the
+// compaction. The base is the replayed state up to segment UpToSeq,
+// saved as a snapshot (baseFile) with its manifest; a resume streams it
+// instead of re-replaying months of segments. AchDone lists the apps
+// whose achievement set is journaled: it rides on the app's base game
+// line, which carries nothing else for the AchOnly apps (no game record).
+type baseMeta struct {
+	UpToSeq   int      `json:"up_to_seq"`
+	AchDone   []uint32 `json:"ach_done"`
+	AchOnly   []uint32 `json:"ach_only,omitempty"`
+	PhaseDone [6]bool  `json:"phase_done"`
 }
 
-// applyBase seeds the crawl state from a compacted base.
-func (st *crawlState) applyBase(b *journalBase) {
-	for i := range b.Users {
-		st.userIdx[b.Users[i].SteamID] = len(st.users)
-		st.users = append(st.users, b.Users[i])
-	}
-	for i := range b.Games {
-		st.gameIdx[b.Games[i].AppID] = len(st.games)
-		st.games = append(st.games, b.Games[i])
-	}
-	for i := range b.Groups {
-		st.groupIdx[b.Groups[i].GID] = len(st.groups)
-		st.groups = append(st.groups, b.Groups[i])
-	}
-	for app, ach := range b.Ach {
-		st.ach[app] = ach
-	}
-	for app, done := range b.AchDone {
-		st.achDone[app] = done
-	}
-	st.phaseDone = b.PhaseDone
-}
+// baseFile names the base that seals every segment up to seq.
+func baseFile(seq int) string { return fmt.Sprintf("%s%06d.jsonl.gz", basePrefix, seq) }
 
-// readBase loads and CRC-verifies a compacted base. A missing file
-// returns (nil, nil); a corrupt one is an error — unlike a torn segment
-// tail there is no safe way to use half a base, and the sealed segments
-// it replaced are gone.
-func readBase(path string) (*journalBase, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+// verifyBase checks a base file's bytes against its manifest.
+func verifyBase(path string) error {
+	man, err := dataset.ReadManifest(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(raw) < recHeaderSize {
-		return nil, errors.New("base truncated inside header")
+	if man == nil {
+		return fmt.Errorf("%s has no manifest", path)
 	}
-	length := binary.BigEndian.Uint32(raw[0:4])
-	sum := binary.BigEndian.Uint32(raw[4:8])
-	payload := raw[recHeaderSize:]
-	if uint32(len(payload)) != length {
-		return nil, fmt.Errorf("base payload is %d bytes, header records %d", len(payload), length)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, errors.New("base checksum mismatch")
-	}
-	var b journalBase
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&b); err != nil {
-		return nil, fmt.Errorf("base decode: %w", err)
-	}
-	return &b, nil
+	return man.VerifyFile(path)
 }
 
-// writeBase durably publishes a base: CRC-framed gob to a temp file,
-// fsync, rename, directory fsync.
-func writeBase(dir string, b *journalBase) error {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, recHeaderSize))
-	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
-		return fmt.Errorf("crawler: base encode: %w", err)
+// loadBase verifies the base at path, then streams it into st. A damaged
+// base is an error: unlike a torn segment tail there is no safe way to
+// use half a base, and the sealed segments it replaced are gone.
+func (st *crawlState) loadBase(path string, meta *baseMeta) error {
+	if err := verifyBase(path); err != nil {
+		return err
 	}
-	raw := buf.Bytes()
-	payload := raw[recHeaderSize:]
-	binary.BigEndian.PutUint32(raw[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(raw[4:8], crc32.ChecksumIEEE(payload))
+	r, err := dataset.OpenReader(path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	achOnly := make(map[uint32]bool, len(meta.AchDone)) // key present: set journaled
+	for _, app := range meta.AchDone {
+		achOnly[app] = false
+	}
+	for _, app := range meta.AchOnly {
+		achOnly[app] = true
+	}
+	lineRecords := [...]uint8{dataset.KindGame: kindGame, dataset.KindUser: kindUser, dataset.KindGroup: kindGroup}
+	var rec journalRecord
+	for {
+		ok, err := r.Next(&rec.Line)
+		if !ok {
+			st.phaseDone = meta.PhaseDone
+			return err
+		}
+		rec.Kind = lineRecords[rec.Line.Kind]
+		if only, done := achOnly[rec.Line.Game.AppID]; done && rec.Kind == kindGame {
+			st.apply(&journalRecord{Kind: kindAch, Line: rec.Line})
+			if only {
+				continue
+			}
+			rec.Line.Game.Achievements = nil
+		}
+		st.apply(&rec)
+	}
+}
 
-	f, err := os.CreateTemp(dir, ".tmp-base-")
+// writeBase commits st as the base sealing segments up to upTo: saved by
+// the dataset Writer (temp, fsync, rename, dir fsync, manifest), verified
+// against its manifest, then committed by its sidecar.
+func writeBase(dir string, upTo int, st *crawlState) error {
+	meta := baseMeta{UpToSeq: upTo, PhaseDone: st.phaseDone}
+	for app := range st.achDone {
+		meta.AchDone = append(meta.AchDone, app)
+	}
+	slices.Sort(meta.AchDone)
+	snap := &dataset.Snapshot{Users: st.users, Games: slices.Clone(st.games), Groups: st.groups}
+	st.attachAch(snap.Games)
+	for _, app := range meta.AchDone {
+		if _, ok := st.gameIdx[app]; !ok {
+			meta.AchOnly = append(meta.AchOnly, app)
+			snap.Games = append(snap.Games, dataset.GameRecord{AppID: app, Achievements: st.ach[app]})
+		}
+	}
+	path := filepath.Join(dir, baseFile(upTo))
+	if err := snap.Save(path); err != nil {
+		return fmt.Errorf("crawler: base save: %w", err)
+	}
+	if err := verifyBase(path); err != nil {
+		return fmt.Errorf("crawler: compact verification: %w", err)
+	}
+	if err := journalCrash("compact-base"); err != nil {
+		return err
+	}
+	return publishJSON(dir, baseMetaName, meta)
+}
+
+// sweepSealed removes what the base committed at upTo (0: none)
+// replaces — segments up to upTo and every other base — and syncs dir.
+func sweepSealed(dir string, upTo int) error {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("crawler: base temp: %w", err)
+		return err
 	}
-	tmp := f.Name()
-	if _, err := f.Write(raw); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("crawler: base write: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, baseName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("crawler: base publish: %w", err)
+	keep := baseFile(upTo)
+	for _, e := range entries {
+		name := e.Name()
+		n, isSeg := segSeq(name)
+		if isSeg && n <= upTo || strings.HasPrefix(name, basePrefix) && name != keep && name != dataset.ManifestPath(keep) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
 	}
 	return syncJournalDir(dir)
 }
@@ -818,12 +828,10 @@ func syncJournalDir(dir string) error {
 
 // Compact seals everything the journal currently holds — the replayed
 // state st, which must be exactly what openJournal returned with no
-// appends since — into one verified base snapshot, deletes the sealed
-// segments, and starts a fresh active segment. Replay cost after a
-// compaction is one base decode plus only the records appended since,
-// bounding resume time on a months-long crawl. The base is read back and
-// verified before any segment is deleted, so a failed compaction never
-// costs data: at worst the old segments and an unused base coexist.
+// appends since — into one base, deletes the sealed segments, and starts
+// a fresh active segment, bounding resume time on a months-long crawl.
+// The base is verified and committed before any segment is deleted, so a
+// failed compaction never costs data.
 func (j *journal) Compact(st *crawlState) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -845,68 +853,26 @@ func (j *journal) Compact(st *crawlState) error {
 	if j.appended > 0 {
 		return fmt.Errorf("crawler: compact refused: %d records appended since open (reopen the journal and compact before appending)", j.appended)
 	}
-	// Seal the active segment.
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("crawler: compact sync: %w", err)
+	if err := j.sealLocked(); err != nil {
+		return fmt.Errorf("crawler: compact seal: %w", err)
 	}
-	if err := j.f.Close(); err != nil {
-		j.f = nil
-		return fmt.Errorf("crawler: compact close: %w", err)
-	}
-	j.f = nil
 	upTo := j.seq
 
-	base := &journalBase{
-		UpToSeq:   upTo,
-		Users:     st.users,
-		Games:     st.games,
-		Groups:    st.groups,
-		Ach:       st.ach,
-		AchDone:   st.achDone,
-		PhaseDone: st.phaseDone,
-	}
-	if err := writeBase(j.dir, base); err != nil {
+	if err := writeBase(j.dir, upTo, st); err != nil {
 		return err
-	}
-	// Verify the just-written base before deleting what it replaces.
-	got, err := readBase(filepath.Join(j.dir, baseName))
-	if err != nil {
-		return fmt.Errorf("crawler: compact verification: %w", err)
-	}
-	if got.UpToSeq != upTo || len(got.Users) != len(st.users) ||
-		len(got.Games) != len(st.games) || len(got.Groups) != len(st.groups) {
-		return fmt.Errorf("crawler: compact verification: base read back with %d/%d/%d records, want %d/%d/%d",
-			len(got.Users), len(got.Games), len(got.Groups), len(st.users), len(st.games), len(st.groups))
 	}
 	if err := journalCrash("compact-sealed"); err != nil {
 		return err
 	}
 
-	// Delete the sealed segments; a crash mid-delete leaves leftovers the
-	// next openJournal sweeps.
-	for seq := 1; seq <= upTo; seq++ {
-		if err := os.Remove(filepath.Join(j.dir, segName(seq))); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("crawler: compact removing %s: %w", segName(seq), err)
-		}
-	}
-	if err := syncJournalDir(j.dir); err != nil {
-		return err
+	// Delete what the committed base replaces; a crash mid-delete leaves
+	// leftovers the next openJournal sweeps.
+	if err := sweepSealed(j.dir, upTo); err != nil {
+		return fmt.Errorf("crawler: compact: %w", err)
 	}
 
-	// Fresh active segment after the base.
-	if j.epoch > 0 {
-		if err := j.createFencedSegment(upTo + 1); err != nil {
-			return fmt.Errorf("crawler: compact reopen: %w", err)
-		}
-	} else {
-		j.seq = upTo + 1
-		j.size = 0
-		j.hdr = 0
-		f, err := os.OpenFile(filepath.Join(j.dir, segName(j.seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("crawler: compact reopen: %w", err)
-		}
-		j.f = f
+	if err := j.openSegmentLocked(upTo + 1); err != nil {
+		return fmt.Errorf("crawler: compact reopen: %w", err)
 	}
 	if j.metrics != nil {
 		j.metrics.JournalSegments.Store(1)
@@ -917,19 +883,20 @@ func (j *journal) Compact(st *crawlState) error {
 // Convenience appenders used by the crawl phases.
 
 func (j *journal) appendUser(u *dataset.UserRecord) error {
-	return j.append(&journalRecord{Kind: kindUser, User: u})
+	return j.append(&journalRecord{Kind: kindUser, Line: dataset.Record{Kind: dataset.KindUser, User: *u}})
 }
 
 func (j *journal) appendGame(g *dataset.GameRecord) error {
-	return j.append(&journalRecord{Kind: kindGame, Game: g})
+	return j.append(&journalRecord{Kind: kindGame, Line: dataset.Record{Kind: dataset.KindGame, Game: *g}})
 }
 
 func (j *journal) appendAch(appID uint32, ach []dataset.AchievementRecord) error {
-	return j.append(&journalRecord{Kind: kindAch, AppID: appID, Achievements: ach})
+	game := dataset.GameRecord{AppID: appID, Achievements: ach}
+	return j.append(&journalRecord{Kind: kindAch, Line: dataset.Record{Kind: dataset.KindGame, Game: game}})
 }
 
 func (j *journal) appendGroup(g *dataset.GroupRecord) error {
-	return j.append(&journalRecord{Kind: kindGroup, Group: g})
+	return j.append(&journalRecord{Kind: kindGroup, Line: dataset.Record{Kind: dataset.KindGroup, Group: *g}})
 }
 
 func (j *journal) appendPhaseDone(phase uint8) error {

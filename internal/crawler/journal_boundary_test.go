@@ -17,9 +17,10 @@ import (
 	"steamstudy/internal/dataset"
 )
 
-// boundaryUser builds records whose gob encoding is the same byte length
-// for every id in [1000, 2000): all varint-encoded fields stay within one
-// encoded width, so segment arithmetic below is exact.
+// boundaryUser builds records whose JSONL line is the same byte length
+// for every id in [1000, 2000): every number written from the id (the
+// SteamID, the friend's id+1, Created = id*100) keeps its count of
+// decimal digits, so segment arithmetic below is exact.
 func boundaryUser(id uint64) *dataset.UserRecord {
 	return &dataset.UserRecord{
 		SteamID: id,

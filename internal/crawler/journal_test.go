@@ -393,7 +393,8 @@ func TestJournalCompact(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(entries) != 2 {
+	// The base is three files: the snapshot, its manifest and the sidecar.
+	if len(entries) != 4 {
 		t.Fatalf("after compact: %v, want base + one active segment", names)
 	}
 	// Still appendable after compaction.
@@ -505,12 +506,17 @@ func TestJournalCorruptBaseIsFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	jr2.Close()
-	b, err := os.ReadFile(filepath.Join(dir, baseName))
+	var meta baseMeta
+	if found, err := readJSON(dir, baseMetaName, &meta); !found || err != nil {
+		t.Fatalf("no committed base: %v", err)
+	}
+	base := filepath.Join(dir, baseFile(meta.UpToSeq))
+	b, err := os.ReadFile(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b[len(b)/2] ^= 0xFF
-	if err := os.WriteFile(filepath.Join(dir, baseName), b, 0o644); err != nil {
+	if err := os.WriteFile(base, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := openJournal(dir, 0, &Metrics{}); err == nil {

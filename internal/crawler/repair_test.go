@@ -151,7 +151,7 @@ func TestCompactJournalExported(t *testing.T) {
 	if err := CompactJournal(jdir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(jdir, baseName)); err != nil {
+	if _, err := os.Stat(filepath.Join(jdir, baseMetaName)); err != nil {
 		t.Fatalf("no base after CompactJournal: %v", err)
 	}
 	snap, err := RebuildFromJournal(jdir)

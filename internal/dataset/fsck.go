@@ -237,7 +237,7 @@ func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error)
 		r.ManifestVerified = true
 		if sharded {
 			verifyShardBytes(path, man, r)
-		} else if err := man.verifyFile(path); err != nil {
+		} else if err := man.VerifyFile(path); err != nil {
 			r.add(ViolationFileHash, "%v", err)
 		}
 	}

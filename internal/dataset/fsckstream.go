@@ -54,7 +54,7 @@ import (
 	"sort"
 )
 
-// verifyShardBytes is verifyFile for the sharded layout: every segment's
+// verifyShardBytes is VerifyFile for the sharded layout: every segment's
 // raw bytes are checked against the manifest's per-shard byte count and
 // CRC-32C, and the concatenated stream against FileBytes/FileSHA256.
 // Damage localizes to a segment name; all failures land in r as

@@ -295,9 +295,9 @@ func writeManifestTemp(dir string, m *Manifest) (string, error) {
 	return tmp, nil
 }
 
-// verifyFile checks the raw on-disk bytes against the manifest's size and
-// whole-file hash, before any decoding.
-func (m *Manifest) verifyFile(path string) error {
+// VerifyFile checks a single file's raw on-disk bytes against the
+// manifest's size and whole-file hash, before any decoding.
+func (m *Manifest) VerifyFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("dataset: opening %s: %w", path, err)

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -123,7 +124,7 @@ func Load(path string, opts ...Option) (*Snapshot, error) {
 			// Remember raw-byte damage but prefer reporting it per section
 			// below: "games section checksum mismatch" localizes the rot,
 			// "file hash mismatch" merely confirms it.
-			hashErr = man.verifyFile(path)
+			hashErr = man.VerifyFile(path)
 		}
 	}
 	var hint [3]int
@@ -218,6 +219,56 @@ func (d *chunkDecoder) decode(lines []rawLine, recs []decodedLine) decodedChunk 
 	}
 	d.carve(out.recs)
 	return out
+}
+
+// into copies a game, user or group line into rec; false for a header.
+func (d *decodedLine) into(rec *Record) bool {
+	switch d.kind {
+	case 'g':
+		rec.Kind, rec.Game = KindGame, d.game
+	case 'u':
+		rec.Kind, rec.User = KindUser, d.user
+	case 'p':
+		rec.Kind, rec.Group = KindGroup, d.group
+	default:
+		return false
+	}
+	return true
+}
+
+// AppendRecordLine appends rec's line, newline included, as a snapshot
+// file holds it. Like Save, it fails only on a NaN or infinite percent.
+func AppendRecordLine(b []byte, rec *Record) ([]byte, error) {
+	switch rec.Kind {
+	case KindGame:
+		return appendGameLine(b, &rec.Game)
+	case KindUser:
+		return appendUserLine(b, &rec.User)
+	case KindGroup:
+		return appendGroupLine(b, &rec.Group)
+	}
+	return b, fmt.Errorf("dataset: record kind %d has no snapshot line", rec.Kind)
+}
+
+// LineDecoder decodes snapshot lines one at a time with the Reader's
+// codec. A decoded record owns its lists and names; vocabulary strings
+// are interned across calls. The zero value is ready to use.
+type LineDecoder struct {
+	d   chunkDecoder
+	one [1]decodedLine
+}
+
+// Decode parses one game, user or group line into rec, with the errors
+// Load reports for it. A header line is an error.
+func (ld *LineDecoder) Decode(line []byte, rec *Record) error {
+	c := ld.d.decode([]rawLine{{no: 1, b: bytes.TrimSpace(line)}}, ld.one[:0])
+	if c.err != nil {
+		return c.err
+	}
+	if !c.recs[0].into(rec) {
+		return errors.New("dataset: a header line is not a record")
+	}
+	return nil
 }
 
 // decodeLine parses one trimmed line: the strict fast path for the

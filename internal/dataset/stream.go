@@ -766,14 +766,7 @@ func (r *Reader) Next(rec *Record) (bool, error) {
 			if r.filter != 0 && r.filter != d.kind {
 				continue
 			}
-			switch d.kind {
-			case 'g':
-				rec.Kind, rec.Game = KindGame, d.game
-			case 'u':
-				rec.Kind, rec.User = KindUser, d.user
-			case 'p':
-				rec.Kind, rec.Group = KindGroup, d.group
-			}
+			d.into(rec)
 			r.prog.add(int(rec.Kind) - 1) // kinds number writerSections from 1
 			return true, nil
 		}
