@@ -66,12 +66,16 @@ fsck:
 # FUZZTIME each, on top of its committed seed corpus under
 # testdata/fuzz/. It is not part of verify: plain `go test` already
 # replays the seed corpus, and a fuzzing budget belongs outside tier-1.
+# Minimizing a new input is capped at 2s: at Go's default of 60s, a
+# target whose inputs write files (FuzzJournalReplay, FuzzMergeSplits)
+# spends its whole budget minimizing one input.
 FUZZTIME ?= 30s
 fuzz:
 	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz: $$pkg $$target ($(FUZZTIME))"; \
-			$(GO) test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit 1; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) \
+				-fuzzminimizetime 2s || exit 1; \
 		done; \
 	done
 

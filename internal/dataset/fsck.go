@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"steamstudy/internal/obs"
 )
@@ -235,13 +236,25 @@ func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error)
 		man = nil
 	default:
 		r.ManifestVerified = true
-		if sharded {
-			verifyShardBytes(path, man, r)
-		} else if err := man.VerifyFile(path); err != nil {
-			r.add(ViolationFileHash, "%v", err)
+		if !sharded {
+			if err := man.VerifyFile(path); err != nil {
+				r.add(ViolationFileHash, "%v", err)
+			}
 		}
 	}
 
+	// A directory's raw-byte pass reads every segment once more; it runs
+	// beside the scan into a report of its own, merged first so the
+	// violations come in the serial order.
+	raw := newReport()
+	var wg sync.WaitGroup
+	if sharded && r.ManifestVerified {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			verifyShardBytes(path, man, raw)
+		}()
+	}
 	var st *fsckScanState
 	var derr error
 	if sharded {
@@ -251,6 +264,8 @@ func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error)
 	} else {
 		st, derr = fsckScan(s.source, man)
 	}
+	wg.Wait()
+	r.merge(raw)
 	if derr != nil {
 		// A decode failure reports the shape seen so far and the decode
 		// violation; referential results from an aborted scan are

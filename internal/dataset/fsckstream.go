@@ -14,7 +14,8 @@
 //	groups #2    member-unknown / membership-asymmetric (group side)
 //
 // A directory's raw bytes (per-segment CRC-32C and byte counts, the
-// concatenated SHA-256) are checked before the scan by verifyShardBytes.
+// concatenated SHA-256) are checked by verifyShardBytes on a goroutine
+// beside the scan.
 // What stays resident is index data, not decoded records:
 //
 //	users        census IDs 8 B, sorted view 12 B (none when the stream is

@@ -235,8 +235,9 @@ func FuzzJSONLDecodeLine(f *testing.F) {
 	})
 }
 
-// A line longer than the Reader's 1 MiB read buffer is assembled in the
-// line arena and decodes like any other, as do the lines around it.
+// A line longer than one of the Reader's 1 MiB read-ahead blocks is
+// assembled in the line arena and decodes like any other, as do the
+// lines around it.
 func TestLoadLineLongerThanReadBuffer(t *testing.T) {
 	s := persistSnapshot()
 	big := GroupRecord{GID: 8, Name: strings.Repeat("n", 300_000), Type: "Open"}

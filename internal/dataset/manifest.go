@@ -233,8 +233,8 @@ var minLineBytes = func() (n [3]int64) {
 const maxGzipRatio = 16
 
 // recordHints returns the manifest's section record counts (games,
-// users, groups) for presizing a load. Only call it once the file's
-// bytes have verified against FileBytes: each count is capped by the
+// users, groups) for presizing a load. Only call it once the size on
+// disk has matched FileBytes: each count is capped by the
 // number of shortest lines those bytes could hold (maxGzipRatio times as
 // many when compressed), so a manifest with a wrong count costs an
 // allocation proportional to the file, never more.

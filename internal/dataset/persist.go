@@ -95,60 +95,44 @@ func syncDir(dir string) error {
 
 // Load reads a snapshot written by Save by collecting every record from
 // OpenReader. When the sidecar manifest is present the snapshot is
-// verified against it — format version, the raw bytes (a single file's
-// whole-file hash up front; a directory's per-segment checksums while
-// streaming), then the decoded section counts and checksums — and damage
-// is reported localized to the failing section ("games section checksum
-// mismatch") or segment rather than as a bare decode error. Snapshots
-// without a manifest (pre-manifest files, or a crash that published data
-// before its sidecar) load unverified.
+// verified against it — format version, the raw bytes (each segment of a
+// directory as it ends, and the whole file or stream by size and
+// SHA-256, hashed as it is read), then the decoded section counts and
+// checksums — and damage is reported localized to the failing section
+// ("games section checksum mismatch") or segment rather than as a bare
+// decode error. Snapshots without a manifest (pre-manifest files, or a
+// crash that published data before its sidecar) load unverified.
 //
-// Once a single file's raw bytes have verified, the manifest's section
-// counts presize the snapshot's record slices. Each record's lists and
-// names share one allocation with the rest of its decode chunk (see
-// Reader), so a load allocates per chunk, not per record.
+// When the bytes on disk are as many as the manifest records, its
+// section counts presize the snapshot's record slices. Each record's
+// lists and names share one allocation with the rest of its decode chunk
+// (see Reader), so a load allocates per chunk, not per record.
 //
 // Options: WithProgress reports per-section record counts as they decode.
 func Load(path string, opts ...Option) (*Snapshot, error) {
-	_, sharded, err := snapshotPath(path)
-	if err != nil {
-		return nil, err
-	}
-	var man *Manifest
-	var hashErr error
-	if !sharded {
-		if man, err = checkedManifest(path, SnapshotFormatVersion); err != nil {
-			return nil, err
-		}
-		if man != nil {
-			// Remember raw-byte damage but prefer reporting it per section
-			// below: "games section checksum mismatch" localizes the rot,
-			// "file hash mismatch" merely confirms it.
-			hashErr = man.VerifyFile(path)
-		}
-	}
-	var hint [3]int
-	if man != nil && hashErr == nil {
-		hint = man.recordHints()
-	}
 	r, err := openReader(path, "", true, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
+	man := r.Manifest()
+	var hint [3]int
+	if man != nil && r.diskBytes() == man.FileBytes {
+		hint = man.recordHints()
+	}
 	s, err := readAll(r, hint)
+	var hashErr error
+	if man != nil {
+		// Remember raw-byte damage but prefer reporting it per section
+		// below: "games section checksum mismatch" localizes the rot,
+		// "file hash mismatch" merely confirms it.
+		hashErr = r.verifyBytes(man)
+	}
 	if err != nil {
 		if hashErr != nil {
 			return nil, fmt.Errorf("%w (raw-byte check also failed: %v)", err, hashErr)
 		}
 		return nil, err
-	}
-	if sharded {
-		man = r.Manifest()
-		if man != nil && r.FileSHA256() != man.FileSHA256 {
-			hashErr = fmt.Errorf("dataset: %s stream hash mismatch (got %s, manifest %s): on-disk corruption",
-				path, r.FileSHA256(), man.FileSHA256)
-		}
 	}
 	if man != nil {
 		if v := man.verifySections(s.CollectedAt, s.sectionSums()); len(v) > 0 {

@@ -25,6 +25,7 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -543,66 +544,84 @@ func (w *Writer) publish(man *Manifest) (err error) {
 // read only that section's segments, while single files scan the whole
 // container and skip foreign lines with a cheap kind sniff (no decode).
 //
-// When a sharded directory carries a manifest, every fully read segment
-// is verified against its recorded byte count and CRC-32C; a mismatch
-// surfaces as an error from Next naming the damaged segment.
+// A Reader is one bounded three-stage pipeline, the same at any
+// GOMAXPROCS:
+//
+//	byte stage   goroutine: read each file, inflate a ".jsonl.gz", sum
+//	             the raw bytes (readahead.go)
+//	               ─▶ ring of 4 blocks of 1 MiB
+//	chunk stage  goroutine: split lines, keep this section's, decode
+//	             512 at a time, check each segment's sums at its end
+//	               ─▶ channel of 2 decoded chunks
+//	Next         the caller's goroutine: hand out records
+//
+// so decode runs beside inflate, and the consumer's own work per record
+// beside decode. Each stage works in stream order, so nothing the Reader
+// yields depends on scheduling. Close stops and joins both stages,
+// mid-stream or past the end; a Reader that is never closed leaks them.
+//
+// Memory: an open Reader holds up to 4 MiB of ring blocks, a gzip window
+// for a ".jsonl.gz", the line arena (one chunk's lines) and up to four
+// decoded chunks of 512 records (two queued, one being handed out, one
+// being decoded), plus the slabs of any record a consumer keeps. A k-way
+// merge holds k Readers.
+//
+// When the manifest is present, every fully read segment of a sharded
+// directory is verified against its recorded byte count and CRC-32C; a
+// mismatch surfaces as an error from Next naming the damaged segment,
+// after the records of the chunks before it.
 //
 // A decode or read error first yields every record of its chunk that
 // precedes the failing line, then surfaces from Next; records read so
 // far are thus the file's longest readable prefix, which fsck reports.
 //
 // Slice lifetime: the lines of a chunk are copied into one byte arena
-// that the Reader reuses for every chunk, but no decoded value aliases
-// it. A record's lists (Friends, Games, Groups, Members, Genres,
+// that the chunk stage reuses for every chunk, but no decoded value
+// aliases it. A record's lists (Friends, Games, Groups, Members, Genres,
 // Achievements) and names are carved from slabs allocated for its chunk
 // alone and never reused, so a consumer may keep any record Next returns
 // for as long as it likes (keeping one keeps its chunk's slabs alive).
 // Each list has cap == len: appending to one reallocates rather than
 // overwriting the next record's list.
 type Reader struct {
-	path    string
-	sharded bool
-	gzipped bool
-	filter  byte // 0 = every section; else 'g'/'u'/'p'
+	path   string
+	filter byte // 0 = every section; else 'g'/'u'/'p'
+	man    *Manifest
+	src    *chunkStage
 
+	// The consumer, on the caller's goroutine.
 	collectedAt int64
-	man         *Manifest
-	segs        []segmentInfo
-	segAt       int // index of the segment currently open
-
-	f       *os.File
-	gz      *gzip.Reader
-	br      *bufio.Reader
-	curPath string
-	lineNo  int
-	segCRC  hash.Hash32
-	segN    int64
-	sha     hash.Hash // concatenated-stream hash (sharded, unfiltered)
-
-	pending    []decodedLine
-	pi         int
-	lines      []rawLine
-	arena      []byte // this chunk's kept lines, back to back
-	dec        chunkDecoder
-	eof        bool
-	err        error
-	verifySegs bool
-	// deferredErr is a decode or read error whose chunk yielded some
-	// records; those stay consumable and the error surfaces once they
-	// drain.
-	deferredErr error
+	pending     []decodedLine
+	pi          int
+	last        bool  // pending is the stream's last chunk
+	lastErr     error // surfaces once the last chunk drains
+	err         error
 	prog        sectionProgress
+	closed      bool
+
+	// The chunk stage's goroutine, once started. chunks is 2 deep, so
+	// decode runs up to two chunks ahead of the consumer.
+	chunks chan chunk         // decoded chunks, in stream order
+	spare  chan []decodedLine // drained chunks, back for reuse
+	quit   chan struct{}      // closed by Close
+	done   chan struct{}      // closed when the chunk goroutine returns
+}
+
+// chunk is one decoded run of lines. err, when set, surfaces once recs
+// drain; last marks the stream's final chunk.
+type chunk struct {
+	recs []decodedLine
+	err  error
+	last bool
 }
 
 // OpenReader opens a streaming reader over every record in the snapshot
 // at path (single JSONL file or sharded directory). The header is
 // consumed internally — CollectedAt is available once the first record
 // (or end of stream) has been reached; for sharded layouts it is read
-// eagerly at open. Lines are read in place from the read buffer and
-// only the decoded chunk's lines are copied, into an arena the reader
-// reuses; the records Next returns never alias it (see Reader for their
-// slices' lifetime). Options: WithProgress reports per-section decoded
-// record counts.
+// eagerly at open. The records Next returns never alias the Reader's
+// buffers (see Reader for their slices' lifetime). Options: WithProgress
+// reports per-section decoded record counts.
 func OpenReader(path string, opts ...Option) (*Reader, error) {
 	return openReader(path, "", true, buildOptions(opts))
 }
@@ -630,16 +649,31 @@ func OpenSection(path, section string, opts ...Option) (*Reader, error) {
 // section is "". With verify off — fsck's accumulate-everything mode — a
 // corrupt manifest, a too-new format version or a per-segment checksum
 // mismatch does not stop the read: fsck's structural pass has already
-// recorded them, and it still wants every decodable record.
+// recorded them, and it still wants every decodable record. A verified
+// read of every section hashes the raw bytes for FileSHA256.
 func openReader(path, section string, verify bool, o options) (*Reader, error) {
 	gzipped, sharded, err := snapshotPath(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{path: path, sharded: sharded, gzipped: gzipped}
+	maxVersion := SnapshotFormatVersion
+	if sharded {
+		maxVersion = SnapshotShardFormatVersion
+	}
+	man, err := checkedManifest(path, maxVersion)
+	if err != nil {
+		if verify {
+			return nil, err
+		}
+		man = nil // fsck recorded the manifest violation; read without it
+	}
+	r := &Reader{path: path, man: man, quit: make(chan struct{})}
+	c := &chunkStage{path: path, sharded: sharded, gzipped: gzipped, quit: r.quit, ring: newRing()}
+	r.src = c
 	r.prog.fn = o.progress
 	if kind, _ := sectionKind(section); kind != 0 {
 		r.filter = "gup"[kind-1] // the decoder's line kind for the section
+		c.filter = r.filter
 		if fn := o.progress; fn != nil {
 			r.prog.fn = func(s string, records int) {
 				if s == section {
@@ -648,103 +682,161 @@ func openReader(path, section string, verify bool, o options) (*Reader, error) {
 			}
 		}
 	}
+	if section == "" && verify {
+		c.raw.sha = sha256.New()
+	}
 	if !sharded {
-		if err := r.openFile(path, gzipped); err != nil {
+		if err := c.openFile(path); err != nil {
 			return nil, err
 		}
+		r.start()
 		return r, nil
 	}
-	man, err := checkedManifest(path, SnapshotShardFormatVersion)
-	if err != nil {
-		if verify {
-			return nil, err
-		}
-		man = nil // fsck recorded the manifest violation; scan by directory
-	}
-	r.man = man
-	r.verifySegs = verify
+	c.verifySegs = verify
 	segs, err := shardSegments(path, man)
 	if err != nil {
 		return nil, err
 	}
-	// Keep the header plus the wanted sections. An unfiltered read hashes
-	// the concatenated stream for whole-snapshot verification.
+	// Keep the header plus the wanted sections.
 	for _, seg := range segs {
 		if section == "" || seg.section == sectionHeader || seg.section == section {
-			r.segs = append(r.segs, seg)
+			c.segs = append(c.segs, seg)
 		}
 	}
-	if section == "" {
-		r.sha = sha256.New()
-	}
-	r.segAt = -1
+	c.segAt = -1
 	// Prime the header eagerly so CollectedAt is valid right after open.
-	if len(r.segs) > 0 && r.segs[0].section == sectionHeader {
-		if err := r.fill(); err != nil {
-			r.Close()
+	if len(c.segs) > 0 && c.segs[0].section == sectionHeader {
+		first, err := c.fill(nil)
+		if err != nil {
 			return nil, err
 		}
+		r.take(first)
 		for r.pi < len(r.pending) && r.pending[r.pi].kind == 'h' {
 			r.collectedAt = r.pending[r.pi].collectedAt
 			r.pi++
 		}
 	}
+	r.start()
 	return r, nil
 }
 
-func (r *Reader) openFile(path string, gzipped bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("dataset: opening %s: %w", path, err)
+// start runs the chunk stage on its own goroutine, unless the stream has
+// already ended.
+func (r *Reader) start() {
+	if r.last {
+		return
 	}
-	r.f, r.curPath, r.lineNo = f, path, 0
-	if gzipped {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("dataset: %s: gzip header: %w", path, err)
+	r.chunks = make(chan chunk, 2)
+	r.spare = make(chan []decodedLine, 4) // every chunk buffer there is
+	r.done = make(chan struct{})
+	go r.run()
+}
+
+// run is the chunk stage's goroutine: it decodes chunk after chunk until
+// the last one is handed over or Close stops it.
+func (r *Reader) run() {
+	defer close(r.done)
+	for {
+		var recs []decodedLine
+		select {
+		case recs = <-r.spare:
+		default:
 		}
-		r.gz = gz
-		r.br = bufio.NewReaderSize(gz, 1<<20)
-	} else {
-		r.br = bufio.NewReaderSize(f, 1<<20)
+		c, err := r.src.fill(recs)
+		if err != nil {
+			c = chunk{err: err, last: true}
+		}
+		select {
+		case r.chunks <- c:
+		case <-r.quit:
+			return
+		}
+		if c.last {
+			return
+		}
 	}
-	return nil
+}
+
+// take makes c the chunk Next hands out.
+func (r *Reader) take(c chunk) {
+	r.pending, r.pi, r.last, r.lastErr = c.recs, 0, c.last, c.err
 }
 
 // CollectedAt returns the header timestamp. For sharded layouts it is
 // valid immediately after open; for single files once the first record
-// has been read (the header is the first line of the stream).
+// has been read (the header is the first line of the stream), and in
+// any case once Next has returned false.
 func (r *Reader) CollectedAt() int64 { return r.collectedAt }
 
-// Manifest returns the sharded layout's sidecar manifest, nil for single
-// files (use ReadManifest) or manifest-less directories.
+// Manifest returns the snapshot's sidecar manifest, nil when there is
+// none (or, for fsck's unverified reads, when it is unusable).
 func (r *Reader) Manifest() *Manifest { return r.man }
 
-// FileSHA256 returns the hex SHA-256 of the concatenated stream read so
-// far. Meaningful only after an unfiltered sharded read reaches EOF,
-// where it must equal the manifest's FileSHA256; returns "" otherwise.
+// FileSHA256 returns the hex SHA-256 of the snapshot's raw bytes — a
+// single file's on-disk (compressed) bytes, a directory's concatenated
+// segments — once an unfiltered OpenReader has read all of them, and ""
+// otherwise. Call it only after Next has returned false: until then the
+// byte stage is still hashing. A single file whose stream ends early on
+// an error is still hashed to its end, so the value is there to compare;
+// a directory's stream ends at the damaged segment and has none.
 func (r *Reader) FileSHA256() string {
-	if r.sha == nil {
+	if !r.src.hashed {
 		return ""
 	}
-	return hex.EncodeToString(r.sha.Sum(nil))
+	return hex.EncodeToString(r.src.raw.sha.Sum(nil))
 }
 
-// Close releases the reader's file handles. Safe to call twice.
-func (r *Reader) Close() error {
-	var err error
-	if r.gz != nil {
-		err = r.gz.Close()
-		r.gz = nil
+// verifyBytes checks the raw bytes against man's FileBytes and
+// FileSHA256. Like FileSHA256, it is nil until they have all been read.
+func (r *Reader) verifyBytes(man *Manifest) error {
+	sha := r.FileSHA256()
+	switch {
+	case sha == "":
+		return nil
+	case r.src.raw.total != man.FileBytes:
+		return fmt.Errorf("dataset: %s is %d bytes, manifest records %d (truncated or partially overwritten)",
+			r.path, r.src.raw.total, man.FileBytes)
+	case sha != man.FileSHA256:
+		return fmt.Errorf("dataset: %s file hash mismatch (got %s, manifest %s): on-disk corruption",
+			r.path, sha, man.FileSHA256)
 	}
-	if r.f != nil {
-		if cerr := r.f.Close(); err == nil {
-			err = cerr
+	return nil
+}
+
+// diskBytes is the size on disk of what the Reader reads: the file, or
+// the listed segments of a directory; -1 when one cannot be stat'd.
+func (r *Reader) diskBytes() int64 {
+	paths := []string{r.path}
+	if r.src.sharded {
+		paths = paths[:0]
+		for _, seg := range r.src.segs {
+			paths = append(paths, filepath.Join(r.path, seg.file))
 		}
-		r.f = nil
 	}
-	return err
+	var n int64
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			return -1
+		}
+		n += info.Size()
+	}
+	return n
+}
+
+// Close stops and joins the Reader's stages and closes its file. Safe
+// to call twice; Next then reports the end of the stream.
+func (r *Reader) Close() error {
+	if r.closed {
+		return nil
+	}
+	r.closed = true
+	r.take(chunk{last: true})
+	close(r.quit)
+	if r.done != nil {
+		<-r.done
+	}
+	return r.src.closeInput(false)
 }
 
 // Next decodes the next record into rec, returning false at the end of
@@ -770,19 +862,20 @@ func (r *Reader) Next(rec *Record) (bool, error) {
 			r.prog.add(int(rec.Kind) - 1) // kinds number writerSections from 1
 			return true, nil
 		}
-		if r.eof {
+		if r.last {
 			r.prog.end(len(writerSections))
-			if r.deferredErr != nil {
-				r.err = r.deferredErr
-				return false, r.err
+			r.err = r.lastErr
+			return false, r.err
+		}
+		// Hand the drained chunk back for reuse: its records were copied
+		// out, and their lists live in the chunk's slabs, not here.
+		if cap(r.pending) > 0 {
+			select {
+			case r.spare <- r.pending:
+			default:
 			}
-			return false, nil
 		}
-		if err := r.fill(); err != nil {
-			r.prog.end(len(writerSections))
-			r.err = err
-			return false, err
-		}
+		r.take(<-r.chunks)
 	}
 }
 
@@ -855,29 +948,66 @@ func kindSniff(trimmed []byte) byte {
 	return 0
 }
 
+// errReaderClosed stops a chunk stage that is waiting for bytes when
+// Close is called. Next never returns it.
+var errReaderClosed = errors.New("dataset: reader closed")
+
+// chunkStage is the Reader's producer: it opens the files in turn,
+// splits the byte stage's blocks into lines, checks each segment's sums
+// at its end and decodes a chunk of lines at a time. Once the Reader has
+// started its goroutine, only that goroutine touches it until the last
+// chunk is handed over or Close has joined it.
+type chunkStage struct {
+	path       string
+	sharded    bool
+	gzipped    bool
+	filter     byte
+	segs       []segmentInfo
+	segAt      int // index of the segment currently open
+	verifySegs bool
+	quit       <-chan struct{}
+
+	ring    *ring
+	raw     rawSum
+	in      *byteStage // the open file's; nil between files
+	blk     []byte     // the block being split, from pos on
+	pos     int
+	inErr   error // the open file's end, once its last block is reached
+	curPath string
+	lineNo  int
+	hashed  bool // raw.sha covers every raw byte of the snapshot
+
+	lines []rawLine
+	arena []byte // this chunk's kept lines, back to back
+	dec   chunkDecoder
+}
+
 // fill reads the next chunk of lines into the line arena and decodes it
-// into r.pending.
-func (r *Reader) fill() error {
-	r.pending, r.pi = r.pending[:0], 0
-	r.lines = r.lines[:0]
-	r.arena = r.arena[:0]
-	for len(r.lines) < jsonlChunk {
-		if r.br == nil {
-			ok, err := r.advanceSegment()
+// into recs. An error it returns ends the stream without the chunk's
+// records; the chunk's own err surfaces after them. Before returning the
+// last chunk, fill closes the input, so the raw sums are final by the
+// time Next sees that chunk.
+func (c *chunkStage) fill(recs []decodedLine) (chunk, error) {
+	c.lines, c.arena = c.lines[:0], c.arena[:0]
+	out := chunk{recs: recs[:0]}
+	for len(c.lines) < jsonlChunk {
+		if c.in == nil {
+			ok, err := c.advanceSegment()
 			if err != nil {
-				return err
+				c.end(false)
+				return out, err
 			}
 			if !ok {
-				r.eof = true
+				out.last = true
 				break
 			}
 		}
-		r.lineNo++
-		raw, err := r.readLine()
+		c.lineNo++
+		raw, err := c.readLine()
 		if err != nil && err != io.EOF {
 			// Decode the lines already read; the error surfaces after them.
-			r.deferredErr = fmt.Errorf("dataset: decoding %s: line %d: %w", r.curPath, r.lineNo, err)
-			r.eof = true
+			out.err = fmt.Errorf("dataset: decoding %s: line %d: %w", c.curPath, c.lineNo, err)
+			out.last = true
 			break
 		}
 		if trimmed := bytes.TrimSpace(raw); len(trimmed) != 0 {
@@ -885,120 +1015,194 @@ func (r *Reader) fill() error {
 			// here, before any copy or decode; header lines always pass
 			// so CollectedAt is picked up.
 			k := kindSniff(trimmed)
-			if r.filter == 0 || k == 0 || k == 'h' || k == r.filter {
-				r.keepLine(trimmed)
+			if c.filter == 0 || k == 0 || k == 'h' || k == c.filter {
+				c.keepLine(trimmed)
 			}
 		}
 		if err == io.EOF {
-			if ferr := r.finishSegmentRead(); ferr != nil {
-				return ferr
+			if ferr := c.finishSegmentRead(); ferr != nil {
+				c.end(false)
+				return out, ferr
 			}
-			if !r.sharded {
-				r.eof = true
+			if !c.sharded {
+				out.last = true
 				break
 			}
 		}
 	}
-	if len(r.lines) == 0 {
+	if len(c.lines) > 0 {
+		dc := c.dec.decode(c.lines, out.recs)
+		out.recs = dc.recs
+		if dc.err != nil {
+			out.err = fmt.Errorf("dataset: decoding %s: line %d: %w", c.curPath, dc.errLine, dc.err)
+			out.last = true
+		}
+	}
+	if out.last {
+		c.end(out.err == nil)
+	}
+	return out, nil
+}
+
+// end closes the input once the stream is over. A single file is read
+// to its end first (raw sums only, no inflate), so a stream cut short by
+// damage still gets its whole-file check; a Close is not waited on.
+func (c *chunkStage) end(clean bool) {
+	if c.in != nil {
+		stopped := false
+		select {
+		case <-c.quit:
+			stopped = true
+		default:
+		}
+		c.closeInput(!c.sharded && c.raw.sha != nil && !stopped)
+	}
+	if c.sharded {
+		c.hashed = c.raw.sha != nil && clean
+	} else {
+		c.hashed = c.raw.sha != nil && c.raw.eof
+	}
+}
+
+// closeInput returns the block being split to the ring and closes the
+// open file's byte stage (see byteStage.close for rest).
+func (c *chunkStage) closeInput(rest bool) error {
+	if c.in == nil {
 		return nil
 	}
-	dc := r.dec.decode(r.lines, r.pending)
-	r.pending = dc.recs
-	if dc.err != nil {
-		r.deferredErr = fmt.Errorf("dataset: decoding %s: line %d: %w", r.curPath, dc.errLine, dc.err)
-		r.eof = true
+	if c.blk != nil {
+		c.ring.put(c.blk)
 	}
-	return nil
+	c.blk, c.pos = nil, 0
+	err := c.in.close(rest)
+	c.in = nil
+	return err
 }
 
-// readLine returns the next raw line, folded into the segment CRC and
-// stream hash. The slice is bufio's own buffer, valid until the next
-// read, except for a line longer than that buffer, which is assembled at
-// the end of the line arena.
-func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		at := len(r.arena)
-		for err == bufio.ErrBufferFull {
-			r.sum(line)
-			r.arena = append(r.arena, line...)
-			line, err = r.br.ReadSlice('\n')
+// readLine returns the next raw line: a slice of the current block,
+// valid until the next read, except for a line that spans blocks, which
+// is assembled at the end of the line arena. At the file's end it
+// returns what follows the last newline with the end's error (io.EOF at
+// a clean end), as bufio.Reader.ReadSlice does.
+func (c *chunkStage) readLine() ([]byte, error) {
+	at := -1 // where a line spanning blocks starts in the arena
+	for {
+		rest := c.blk[c.pos:]
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			c.pos += i + 1
+			line := rest[:i+1]
+			if at < 0 {
+				return line, nil
+			}
+			c.arena = append(c.arena, line...)
+			// keepLine's copy moves the line down to at, where it already is.
+			line, c.arena = c.arena[at:], c.arena[:at]
+			return line, nil
 		}
-		r.arena = append(r.arena, line...)
-		// keepLine's copy moves the line down to at, where it already is.
-		line, r.arena = r.arena[at:], r.arena[:at]
+		if len(rest) > 0 {
+			if at < 0 {
+				at = len(c.arena)
+			}
+			c.arena = append(c.arena, rest...)
+			c.pos = len(c.blk)
+		}
+		if c.inErr != nil {
+			if at < 0 {
+				return nil, c.inErr
+			}
+			line := c.arena[at:]
+			c.arena = c.arena[:at]
+			return line, c.inErr
+		}
+		if err := c.nextBlock(); err != nil {
+			return nil, err
+		}
 	}
-	if err == nil || err == io.EOF {
-		r.sum(line)
-	}
-	return line, err
 }
 
-// sum folds raw stream bytes into the open segment's CRC and the
-// concatenated-stream hash, when those are being checked.
-func (r *Reader) sum(b []byte) {
-	if r.segCRC != nil {
-		r.segCRC.Write(b)
-		r.segN += int64(len(b))
+// nextBlock returns the split block to the ring and waits for the next.
+func (c *chunkStage) nextBlock() error {
+	if c.blk != nil {
+		c.ring.put(c.blk)
 	}
-	if r.sha != nil {
-		r.sha.Write(b)
+	c.blk, c.pos = nil, 0
+	select {
+	case b := <-c.in.full:
+		c.blk, c.inErr = b.b, b.err
+		return nil
+	case <-c.quit:
+		return errReaderClosed
 	}
 }
 
 // keepLine copies a trimmed line into the line arena for this chunk's
 // decode. The arena is reused chunk after chunk; decoded records never
 // alias it.
-func (r *Reader) keepLine(trimmed []byte) {
-	at := len(r.arena)
-	r.arena = append(r.arena, trimmed...)
-	r.lines = append(r.lines, rawLine{no: r.lineNo, b: r.arena[at:len(r.arena):len(r.arena)]})
+func (c *chunkStage) keepLine(trimmed []byte) {
+	at := len(c.arena)
+	c.arena = append(c.arena, trimmed...)
+	c.lines = append(c.lines, rawLine{no: c.lineNo, b: c.arena[at:len(c.arena):len(c.arena)]})
+}
+
+// openFile opens path and starts its byte stage.
+func (c *chunkStage) openFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("dataset: opening %s: %w", path, err)
+	}
+	c.curPath, c.lineNo = path, 0
+	c.raw.n, c.raw.eof = 0, false
+	raw := &rawFile{f: f, sum: &c.raw}
+	var gz *gzip.Reader
+	if c.gzipped {
+		if gz, err = gzip.NewReader(raw); err != nil {
+			f.Close()
+			return fmt.Errorf("dataset: %s: gzip header: %w", path, err)
+		}
+	}
+	c.in, c.inErr = startBytes(raw, gz, c.ring), nil
+	return nil
 }
 
 // advanceSegment opens the next segment of a sharded read; ok=false at
 // the end of the segment list (or immediately for single files, whose
-// only "segment" is opened at construction).
-func (r *Reader) advanceSegment() (bool, error) {
-	if !r.sharded {
+// only file is opened at construction).
+func (c *chunkStage) advanceSegment() (bool, error) {
+	if !c.sharded {
 		return false, nil
 	}
-	r.segAt++
-	if r.segAt >= len(r.segs) {
+	c.segAt++
+	if c.segAt >= len(c.segs) {
 		return false, nil
 	}
-	seg := r.segs[r.segAt]
-	if err := r.openFile(filepath.Join(r.path, seg.file), false); err != nil {
+	seg := c.segs[c.segAt]
+	c.raw.crc = nil
+	if seg.sum != nil && c.verifySegs {
+		c.raw.crc = crc32.New(castagnoli)
+	}
+	if err := c.openFile(filepath.Join(c.path, seg.file)); err != nil {
 		return false, err
-	}
-	if seg.sum != nil && r.verifySegs {
-		r.segCRC = crc32.New(castagnoli)
-		r.segN = 0
 	}
 	return true, nil
 }
 
-// finishSegmentRead closes the finished segment and, when the manifest
+// finishSegmentRead closes the finished file and, when the manifest
 // recorded its shape, verifies byte count and CRC-32C.
-func (r *Reader) finishSegmentRead() error {
-	if r.br == nil {
-		return nil
+func (c *chunkStage) finishSegmentRead() error {
+	if err := c.closeInput(false); err != nil {
+		return fmt.Errorf("dataset: closing %s: %w", c.curPath, err)
 	}
-	cerr := r.Close()
-	r.br = nil
-	if cerr != nil {
-		return fmt.Errorf("dataset: closing %s: %w", r.curPath, cerr)
-	}
-	if r.segCRC != nil {
-		sum := r.segs[r.segAt].sum
-		if r.segN != sum.Bytes {
+	if c.raw.crc != nil {
+		sum := c.segs[c.segAt].sum
+		if c.raw.n != sum.Bytes {
 			return fmt.Errorf("dataset: %s: segment %s is %d bytes, manifest records %d (truncated or partially overwritten)",
-				r.path, sum.File, r.segN, sum.Bytes)
+				c.path, sum.File, c.raw.n, sum.Bytes)
 		}
-		if got := r.segCRC.Sum32(); got != sum.CRC32C {
+		if got := c.raw.crc.Sum32(); got != sum.CRC32C {
 			return fmt.Errorf("dataset: %s: segment %s checksum mismatch (file %08x, manifest %08x): on-disk corruption",
-				r.path, sum.File, got, sum.CRC32C)
+				c.path, sum.File, got, sum.CRC32C)
 		}
-		r.segCRC = nil
+		c.raw.crc = nil
 	}
 	return nil
 }
