@@ -27,10 +27,6 @@ verify: build vet test race fsck
 	$(GO) test -tags crash -run '^$$' ./internal/crawler ./internal/fleet
 	$(GO) vet -tags scale ./internal/scale
 	$(GO) test -tags scale -run '^$$' ./internal/scale
-	$(GO) build ./cmd/steamquery ./cmd/steamqueryload
-	$(GO) test -race ./internal/query
-	$(GO) test -race ./internal/dataset -run 'Stream|Shard|WriteUniverse|Merge|Source|FromUniverse|Fsck|JSONLEncode'
-	$(GO) test -race ./internal/analysis -run 'StreamTable4'
 
 # chaos runs only the end-to-end fault-injection suite: a full crawl under
 # an aggressive fault profile with simulated process deaths, plus the

@@ -106,8 +106,8 @@ func TestChaosCrawlWithRestartsMatchesCleanCrawl(t *testing.T) {
 			len(snap.Users), len(clean.Users), len(snap.Games), len(clean.Games),
 			len(snap.Groups), len(clean.Groups))
 	}
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
+	if rep := snap.Fsck(); !rep.Clean() {
+		t.Fatal(rep)
 	}
 	if final.Metrics.Errors.Load() == 0 {
 		t.Fatal("chaos server injected no observable faults; test misconfigured")

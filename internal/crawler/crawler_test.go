@@ -127,8 +127,8 @@ func TestCrawlMatchesGroundTruth(t *testing.T) {
 			t.Fatalf("group %d categorized %q, truth %q", cg.GID, cg.Type, tg.Type)
 		}
 	}
-	if err := snap.Validate(); err != nil {
-		t.Fatal(err)
+	if rep := snap.Fsck(); !rep.Clean() {
+		t.Fatal(rep)
 	}
 }
 

@@ -710,7 +710,7 @@ type baseMeta struct {
 // baseFile names the base that seals every segment up to seq.
 func baseFile(seq int) string { return fmt.Sprintf("%s%06d.jsonl.gz", basePrefix, seq) }
 
-// verifyBase checks a base file's bytes against its manifest.
+// verifyBase reads a just-written base back against its manifest.
 func verifyBase(path string) error {
 	man, err := dataset.ReadManifest(path)
 	if err != nil {
@@ -722,18 +722,19 @@ func verifyBase(path string) error {
 	return man.VerifyFile(path)
 }
 
-// loadBase verifies the base at path, then streams it into st. A damaged
-// base is an error: unlike a torn segment tail there is no safe way to
-// use half a base, and the sealed segments it replaced are gone.
+// loadBase streams the base at path into st, then checks the bytes the
+// Reader hashed against the base's manifest. A damaged base is an error,
+// and the caller drops st: unlike a torn segment tail there is no safe
+// way to use half a base, and the sealed segments it replaced are gone.
 func (st *crawlState) loadBase(path string, meta *baseMeta) error {
-	if err := verifyBase(path); err != nil {
-		return err
-	}
 	r, err := dataset.OpenReader(path)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
+	if r.Manifest() == nil {
+		return fmt.Errorf("%s has no manifest", path)
+	}
 	achOnly := make(map[uint32]bool, len(meta.AchDone)) // key present: set journaled
 	for _, app := range meta.AchDone {
 		achOnly[app] = false
@@ -746,6 +747,9 @@ func (st *crawlState) loadBase(path string, meta *baseMeta) error {
 	for {
 		ok, err := r.Next(&rec.Line)
 		if !ok {
+			if err == nil {
+				err = r.VerifyBytes()
+			}
 			st.phaseDone = meta.PhaseDone
 			return err
 		}

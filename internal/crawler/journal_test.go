@@ -1,10 +1,12 @@
 package crawler
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"steamstudy/internal/dataset"
@@ -521,5 +523,105 @@ func TestJournalCorruptBaseIsFatal(t *testing.T) {
 	}
 	if _, _, err := openJournal(dir, 0, &Metrics{}); err == nil {
 		t.Fatal("corrupt base tolerated")
+	}
+}
+
+// A base whose bytes decode cleanly but disagree with its manifest is
+// fatal on every open that replays it — the owner resuming, a takeover
+// at a higher epoch, an epoch-0 reader — and so for RebuildFromJournal
+// and CompactJournal: the Reader hashes the base as it streams it, and
+// the check runs once the stream ends.
+func TestJournalBaseManifestMismatchIsFatal(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "j")
+	jr, _, err := openJournalAt(dir, 0, &Metrics{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= 3; id++ {
+		if err := jr.appendUser(testUser(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jr.Close()
+	jr, st, err := openJournalAt(dir, 0, &Metrics{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Compact(st); err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	var meta baseMeta
+	if found, err := readJSON(dir, baseMetaName, &meta); !found || err != nil {
+		t.Fatalf("no committed base: %v", err)
+	}
+	base := filepath.Join(dir, baseFile(meta.UpToSeq))
+	good, err := os.ReadFile(dataset.ManifestPath(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man dataset.Manifest
+	if err := json.Unmarshal(good, &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.FileSHA256[0] == '0' {
+		man.FileSHA256 = "1" + man.FileSHA256[1:]
+	} else {
+		man.FileSHA256 = "0" + man.FileSHA256[1:]
+	}
+	bad, err := json.Marshal(&man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dataset.ManifestPath(base), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The base's records still decode; only the raw-byte check fails.
+	r, err := dataset.OpenReader(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec dataset.Record
+	n := 0
+	for {
+		ok, err := r.Next(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		n++
+	}
+	if n != 3 || r.VerifyBytes() == nil {
+		t.Fatalf("setup: %d records decoded, VerifyBytes %v", n, r.VerifyBytes())
+	}
+	r.Close()
+
+	opens := map[string]func() error{
+		"owner":    func() error { _, _, err := openJournalAt(dir, 0, &Metrics{}, 1); return err },
+		"takeover": func() error { _, _, err := openJournalAt(dir, 0, &Metrics{}, 2); return err },
+		"reader":   func() error { _, _, err := openJournalAt(dir, 0, &Metrics{}, 0); return err },
+		"rebuild":  func() error { _, err := RebuildFromJournal(dir); return err },
+		"compact":  func() error { return CompactJournal(dir) },
+	}
+	for name, open := range opens {
+		if err := open(); err == nil || !strings.Contains(err.Error(), "file hash mismatch") {
+			t.Errorf("%s: want the base's file hash mismatch, got %v", name, err)
+		}
+	}
+
+	// With its manifest restored the same base replays.
+	if err := os.WriteFile(dataset.ManifestPath(base), good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jr, st, err = openJournalAt(dir, 0, &Metrics{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	if len(st.users) != 3 {
+		t.Fatalf("restored base replayed %d users, want 3", len(st.users))
 	}
 }

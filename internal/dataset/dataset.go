@@ -182,30 +182,6 @@ func (s *Snapshot) Totals() Totals {
 	return t
 }
 
-// Validate checks structural invariants of the snapshot and returns the
-// first violation found.
-func (s *Snapshot) Validate() error {
-	seen := make(map[uint64]bool, len(s.Users))
-	for i := range s.Users {
-		u := &s.Users[i]
-		if seen[u.SteamID] {
-			return fmt.Errorf("dataset: duplicate user %d", u.SteamID)
-		}
-		seen[u.SteamID] = true
-		if err := checkUser(u); err != nil {
-			return err
-		}
-	}
-	apps := make(map[uint32]bool, len(s.Games))
-	for i := range s.Games {
-		if apps[s.Games[i].AppID] {
-			return fmt.Errorf("dataset: duplicate app %d", s.Games[i].AppID)
-		}
-		apps[s.Games[i].AppID] = true
-	}
-	return nil
-}
-
 // checkUser checks one user's library: no app owned twice, and playtimes
 // non-negative with two-week within lifetime. The merge, whose parts are
 // never validated, checks every user it emits with it.

@@ -18,8 +18,8 @@ func testSnapshot(t *testing.T) *Snapshot {
 
 func TestFromUniverseValid(t *testing.T) {
 	s := testSnapshot(t)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+	if rep := s.Fsck(); !rep.Clean() {
+		t.Fatal(rep)
 	}
 	if len(s.Users) != 1500 || len(s.Games) != 200 {
 		t.Fatalf("sizes: %d users, %d games", len(s.Users), len(s.Games))
@@ -69,35 +69,6 @@ func TestFriendshipEdgesReciprocalOnce(t *testing.T) {
 	}
 	if sum != 2*len(edges) {
 		t.Fatalf("friend list total %d, want %d", sum, 2*len(edges))
-	}
-}
-
-func TestValidateCatchesCorruption(t *testing.T) {
-	s := testSnapshot(t)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate user.
-	bad := *s
-	bad.Users = append(append([]UserRecord{}, s.Users...), s.Users[0])
-	if bad.Validate() == nil {
-		t.Fatal("duplicate user not caught")
-	}
-	// Two-week exceeding lifetime.
-	bad2 := *s
-	bad2.Users = append([]UserRecord{}, s.Users...)
-	var target int
-	for i := range bad2.Users {
-		if len(bad2.Users[i].Games) > 0 {
-			target = i
-			break
-		}
-	}
-	games := append([]OwnershipRecord{}, bad2.Users[target].Games...)
-	games[0].TwoWeekMinutes = int32(games[0].TotalMinutes + 100)
-	bad2.Users[target].Games = games
-	if bad2.Validate() == nil {
-		t.Fatal("two-week > lifetime not caught")
 	}
 }
 

@@ -190,7 +190,7 @@ func (m *IntegrityMetrics) Register(r *obs.Registry) {
 // FsckFile produces for the same records on disk.
 func (s *Snapshot) Fsck() *Report {
 	r := newReport()
-	st, _ := fsckScan(s.source, nil) // the in-memory source cannot fail
+	st, _ := fsckScan(s.source, nil, [3]int{}) // the in-memory source cannot fail
 	st.into(r, nil)
 	return r
 }
@@ -207,7 +207,8 @@ func (s *Snapshot) Fsck() *Report {
 // A sharded directory is scanned section by section through the
 // streaming Reader, never holding more than index data; a single file is
 // read once into memory with the tolerant Reader — which keeps the
-// records before a decode error — and scanned there.
+// records before a decode error, and hashes the raw bytes as it reads
+// them — and scanned there.
 //
 // Options: WithProgress reports decoded records per section, from the
 // first read of each section only, so counts never decrease.
@@ -236,16 +237,11 @@ func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error)
 		man = nil
 	default:
 		r.ManifestVerified = true
-		if !sharded {
-			if err := man.VerifyFile(path); err != nil {
-				r.add(ViolationFileHash, "%v", err)
-			}
-		}
 	}
 
-	// A directory's raw-byte pass reads every segment once more; it runs
-	// beside the scan into a report of its own, merged first so the
-	// violations come in the serial order.
+	// The raw-byte check lands in a report of its own, merged first so
+	// the violations come in the serial order. A directory's reads every
+	// segment once more, beside the scan.
 	raw := newReport()
 	var wg sync.WaitGroup
 	if sharded && r.ManifestVerified {
@@ -257,12 +253,13 @@ func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error)
 	}
 	var st *fsckScanState
 	var derr error
+	hint := man.recordHints(path)
 	if sharded {
-		st, derr = fsckScan(fileSections(path, false, o), man)
-	} else if s, err := readPartial(path, o); err != nil {
+		st, derr = fsckScan(fileSections(path, false, o), man, hint)
+	} else if s, err := readPartial(path, o, raw); err != nil {
 		st, derr = &fsckScanState{users: len(s.Users), games: len(s.Games), groups: len(s.Groups)}, err
 	} else {
-		st, derr = fsckScan(s.source, man)
+		st, derr = fsckScan(s.source, man, hint)
 	}
 	wg.Wait()
 	r.merge(raw)
@@ -280,14 +277,19 @@ func FsckFile(path string, m *IntegrityMetrics, opts ...Option) (*Report, error)
 }
 
 // readPartial collects a single file with the tolerant Reader. On error
-// the snapshot holds the records read before it.
-func readPartial(path string, o options) (*Snapshot, error) {
+// the snapshot holds the records read before it. A mismatch of the raw
+// bytes with the manifest lands in rep.
+func readPartial(path string, o options, rep *Report) (*Snapshot, error) {
 	r, err := openReader(path, "", false, o)
 	if err != nil {
 		return &Snapshot{}, err
 	}
 	defer r.Close()
-	return readAll(r, [3]int{})
+	s, err := readAll(r, [3]int{})
+	if herr := r.VerifyBytes(); herr != nil {
+		rep.add(ViolationFileHash, "%v", herr)
+	}
+	return s, err
 }
 
 func fsckRecordMetrics(r *Report, m *IntegrityMetrics) {

@@ -15,7 +15,7 @@
 //
 // A directory's raw bytes (per-segment CRC-32C and byte counts, the
 // concatenated SHA-256) are checked by verifyShardBytes on a goroutine
-// beside the scan.
+// beside the scan; a single file's by the Reader that collects it.
 // What stays resident is index data, not decoded records:
 //
 //	users        census IDs 8 B, sorted view 12 B (none when the stream is
@@ -44,53 +44,37 @@ package dataset
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"hash/crc32"
-	"io"
 	"math/bits"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 )
 
-// verifyShardBytes is VerifyFile for the sharded layout: every segment's
-// raw bytes are checked against the manifest's per-shard byte count and
-// CRC-32C, and the concatenated stream against FileBytes/FileSHA256.
-// Damage localizes to a segment name; all failures land in r as
-// ViolationFileHash.
+// verifyShardBytes is VerifyFile for the sharded layout: it reads the
+// segments a Reader of the directory reads, in its order, through one
+// rawSum, checks each against its shard sum and the concatenated stream
+// against FileBytes and FileSHA256. Damage localizes to a segment name;
+// all failures land in r as ViolationFileHash.
 func verifyShardBytes(dir string, man *Manifest, r *Report) {
-	sha := sha256.New()
-	var total int64
-	for i := range man.Shards {
-		s := &man.Shards[i]
-		crc := crc32.New(castagnoli)
-		f, err := os.Open(filepath.Join(dir, s.File))
-		if err != nil {
-			r.add(ViolationFileHash, "%v", fmt.Errorf("dataset: %s: segment %s: %v", dir, s.File, err))
-			continue
-		}
-		n, err := io.Copy(io.MultiWriter(crc, sha), f)
-		f.Close()
-		total += n
-		if err != nil {
-			r.add(ViolationFileHash, "%v", fmt.Errorf("dataset: %s: segment %s: %v", dir, s.File, err))
-			continue
-		}
-		if n != s.Bytes {
-			r.add(ViolationFileHash, "dataset: %s: segment %s is %d bytes, manifest records %d (truncated or partially overwritten)",
-				dir, s.File, n, s.Bytes)
-		} else if got := crc.Sum32(); got != s.CRC32C {
-			r.add(ViolationFileHash, "dataset: %s: segment %s checksum mismatch (file %08x, manifest %08x): on-disk corruption",
-				dir, s.File, got, s.CRC32C)
+	segs, err := shardSegments(dir, man)
+	if err != nil {
+		r.add(ViolationFileHash, "%v", err)
+		return
+	}
+	sum := rawSum{sha: sha256.New()}
+	for _, seg := range segs {
+		sum.crc = crc32.New(castagnoli)
+		if err := sum.readFile(filepath.Join(dir, seg.file)); err != nil {
+			r.add(ViolationFileHash, "dataset: %s: segment %s: %v", dir, seg.file, err)
+		} else if seg.sum != nil {
+			if err := sum.verifySegment(dir, seg.sum); err != nil {
+				r.add(ViolationFileHash, "%v", err)
+			}
 		}
 	}
-	if total != man.FileBytes {
-		r.add(ViolationFileHash, "dataset: %s is %d bytes, manifest records %d (truncated or partially overwritten)",
-			dir, total, man.FileBytes)
-	} else if got := hex.EncodeToString(sha.Sum(nil)); got != man.FileSHA256 {
-		r.add(ViolationFileHash, "dataset: %s stream hash mismatch (got %s, manifest %s): on-disk corruption", dir, got, man.FileSHA256)
+	if err := sum.verifyStream(dir, man); err != nil {
+		r.add(ViolationFileHash, "%v", err)
 	}
 }
 
@@ -232,21 +216,16 @@ const unresolved = ^uint64(0)
 
 // fsckScan runs the referential passes over src. A decode error aborts
 // the scan, returning the per-section counts seen so far. The canonical
-// section checksums are computed only when man is non-nil, which also
-// sizes the indexes. The passes are sequential: each is a single ordered
-// stream whose indexes the next pass depends on.
-func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
+// section checksums are computed only when man is non-nil; hint (games,
+// users, groups, as recordHints returns them) sizes the indexes. The
+// passes are sequential: each is a single ordered stream whose indexes
+// the next pass depends on.
+func fsckScan(src sectionSource, man *Manifest, hint [3]int) (*fsckScanState, error) {
 	st := &fsckScanState{sums: map[string]SectionSum{}, sub: newReport()}
-	est := func(section string) int {
-		if man == nil {
-			return 0
-		}
-		return man.Sections[section].Records
-	}
 	sum := man != nil
 
 	// Games: catalog census, duplicates, canonical checksum.
-	apps := make(map[uint32]bool, est(sectionGames))
+	apps := make(map[uint32]bool, hint[0])
 	var c canon
 	collectedAt, err := each(src, sectionGames, func(rec *Record) error {
 		g := &rec.Game
@@ -271,9 +250,9 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	// in-memory memberOf map (a duplicate GID's later member set is the
 	// one user-side checks consult); members are copied and sorted so the
 	// user-side membership check is a binary search, not a set per group.
-	gidIndex := make(map[uint64]int32, est(sectionGroups))
+	gidIndex := make(map[uint64]int32, hint[2])
 	var members [][]uint64
-	groupSeen := make(map[uint64]bool, est(sectionGroups))
+	groupSeen := make(map[uint64]bool, hint[2])
 	c = canon{}
 	_, err = each(src, sectionGroups, func(rec *Record) error {
 		g := &rec.Group
@@ -302,7 +281,7 @@ func fsckScan(src sectionSource, man *Manifest) (*fsckScanState, error) {
 	// user's friend IDs appended to one flat list, and membership pairs
 	// keyed by stream position. The ownership map holds stream position
 	// + 1 per app, so it is never cleared between users.
-	census := &idCensus{ids: make([]uint64, 0, est(sectionUsers))}
+	census := &idCensus{ids: make([]uint64, 0, hint[1])}
 	var (
 		friends []uint64 // every user's friend IDs, flat in record order
 		ends    []int    // user i's friends are friends[ends[i-1]:ends[i]]

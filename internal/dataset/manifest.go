@@ -17,9 +17,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
+	"path/filepath"
 )
 
 // SnapshotFormatVersion is stamped into every manifest this code writes.
@@ -233,21 +233,45 @@ var minLineBytes = func() (n [3]int64) {
 const maxGzipRatio = 16
 
 // recordHints returns the manifest's section record counts (games,
-// users, groups) for presizing a load. Only call it once the size on
-// disk has matched FileBytes: each count is capped by the
-// number of shortest lines those bytes could hold (maxGzipRatio times as
-// many when compressed), so a manifest with a wrong count costs an
-// allocation proportional to the file, never more.
-func (m *Manifest) recordHints() [3]int {
+// users, groups) for presizing a read of path, or zeros unless m is
+// non-nil and the bytes on disk are as many as FileBytes. Each count is
+// capped by the number of shortest lines those bytes could hold
+// (maxGzipRatio times as many when compressed), so a manifest with a
+// wrong count costs an allocation proportional to the file, never more.
+func (m *Manifest) recordHints(path string) [3]int {
+	var h [3]int
+	if m == nil || diskBytes(path, m) != m.FileBytes {
+		return h
+	}
 	bytes := m.FileBytes
 	if m.Compressed {
 		bytes *= maxGzipRatio
 	}
-	var h [3]int
 	for i, name := range writerSections {
 		h[i] = int(min(max(int64(m.Sections[name].Records), 0), bytes/minLineBytes[i]))
 	}
 	return h
+}
+
+// diskBytes is the size on disk of the file at path, or of the segments
+// of directory path that m lists; -1 when one cannot be stat'd.
+func diskBytes(path string, m *Manifest) int64 {
+	paths := []string{path}
+	if pathSharded(path) {
+		paths = paths[:0]
+		for _, s := range m.Shards {
+			paths = append(paths, filepath.Join(path, s.File))
+		}
+	}
+	var n int64
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			return -1
+		}
+		n += info.Size()
+	}
+	return n
 }
 
 // ReadManifest reads the sidecar manifest for a snapshot path. A missing
@@ -296,25 +320,13 @@ func writeManifestTemp(dir string, m *Manifest) (string, error) {
 }
 
 // VerifyFile checks a single file's raw on-disk bytes against the
-// manifest's size and whole-file hash, before any decoding.
+// manifest's size and whole-file hash; a Reader checks what it reads.
 func (m *Manifest) VerifyFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("dataset: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
+	sum := rawSum{sha: sha256.New()}
+	if err := sum.readFile(path); err != nil {
 		return fmt.Errorf("dataset: hashing %s: %w", path, err)
 	}
-	if n != m.FileBytes {
-		return fmt.Errorf("dataset: %s is %d bytes, manifest records %d (truncated or partially overwritten)", path, n, m.FileBytes)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != m.FileSHA256 {
-		return fmt.Errorf("dataset: %s file hash mismatch (got %s, manifest %s): on-disk corruption", path, got, m.FileSHA256)
-	}
-	return nil
+	return sum.verifyStream(path, m)
 }
 
 // verifySections checks one read's re-derived section counts, canonical

@@ -70,8 +70,8 @@ func sortedBy[T any](recs []T, key func(*T) uint64) []T {
 // mergeSources is the merge producer. Each part must yield its sections
 // in ascending key order with records that outlive Next (files and
 // snapshots, not the universe cursor); a part out of order fails with
-// errUnsortedPart. Every merged user is checked with checkUser, failing
-// with the error Snapshot.Validate would give the merged snapshot.
+// errUnsortedPart. Every merged user is checked with checkUser, and the
+// merge fails with its error.
 func mergeSources(parts []sectionSource) sectionSource {
 	return func(section string) (recordIter, error) {
 		m := &mergeIter{streams: make([]mergeStream, len(parts))}

@@ -110,39 +110,41 @@ func syncDir(dir string) error {
 //
 // Options: WithProgress reports per-section record counts as they decode.
 func Load(path string, opts ...Option) (*Snapshot, error) {
+	s, _, err := LoadWithManifest(path, opts...)
+	return s, err
+}
+
+// LoadWithManifest is Load, also returning the manifest the snapshot was
+// verified against (nil when it has none). The manifest is read once,
+// when the file is opened, so its FileSHA256 names the bytes that were
+// decoded even if another snapshot is published at path meanwhile.
+func LoadWithManifest(path string, opts ...Option) (*Snapshot, *Manifest, error) {
 	r, err := openReader(path, "", true, buildOptions(opts))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer r.Close()
 	man := r.Manifest()
-	var hint [3]int
-	if man != nil && r.diskBytes() == man.FileBytes {
-		hint = man.recordHints()
-	}
-	s, err := readAll(r, hint)
-	var hashErr error
-	if man != nil {
-		// Remember raw-byte damage but prefer reporting it per section
-		// below: "games section checksum mismatch" localizes the rot,
-		// "file hash mismatch" merely confirms it.
-		hashErr = r.verifyBytes(man)
-	}
+	s, err := readAll(r, man.recordHints(path))
+	// Remember raw-byte damage but prefer reporting it per section below:
+	// "games section checksum mismatch" localizes the rot, "file hash
+	// mismatch" merely confirms it.
+	hashErr := r.VerifyBytes()
 	if err != nil {
 		if hashErr != nil {
-			return nil, fmt.Errorf("%w (raw-byte check also failed: %v)", err, hashErr)
+			return nil, nil, fmt.Errorf("%w (raw-byte check also failed: %v)", err, hashErr)
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	if man != nil {
 		if v := man.verifySections(s.CollectedAt, s.sectionSums()); len(v) > 0 {
-			return nil, fmt.Errorf("dataset: %s: %s", path, v[0].Detail)
+			return nil, nil, fmt.Errorf("dataset: %s: %s", path, v[0].Detail)
 		}
 	}
 	if hashErr != nil {
-		return nil, hashErr
+		return nil, nil, hashErr
 	}
-	return s, nil
+	return s, man, nil
 }
 
 // checkedManifest reads path's sidecar manifest and refuses one whose

@@ -8,12 +8,16 @@
 //
 // The raw sums sit below the inflater, so a single file's SHA-256 covers
 // its on-disk bytes, which is what its manifest records, and a
-// directory's covers the concatenated segments.
+// directory's covers the concatenated segments. rawSum's checks are the
+// only comparison of raw bytes with a manifest: VerifyFile and fsck's
+// verifyShardBytes hash through a rawSum too.
 
 package dataset
 
 import (
 	"compress/gzip"
+	"encoding/hex"
+	"fmt"
 	"hash"
 	"io"
 	"os"
@@ -79,7 +83,7 @@ type rawSum struct {
 	eof   bool  // the open file has been read to its end
 }
 
-// rawFile reads a file through its Reader's rawSum.
+// rawFile reads a file through a rawSum.
 type rawFile struct {
 	f   *os.File
 	sum *rawSum
@@ -103,6 +107,66 @@ func (rf *rawFile) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// drain reads the rest of the file through its rawSum, 32 KiB at a time.
+func (rf *rawFile) drain() error {
+	buf := make([]byte, 32<<10)
+	for {
+		if _, err := rf.Read(buf); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
+}
+
+// open starts a file of the stream: f's bytes are read through s.
+func (s *rawSum) open(f *os.File) *rawFile {
+	s.n, s.eof = 0, false
+	return &rawFile{f: f, sum: s}
+}
+
+// readFile reads the file at path to its end through s.
+func (s *rawSum) readFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return s.open(f).drain()
+}
+
+// sizeErr, verifyStream and verifySegment are the one wording of each
+// raw-byte mismatch, the size checked before the hash.
+func sizeErr(name string, got, want int64) error {
+	if got == want {
+		return nil
+	}
+	return fmt.Errorf("dataset: %s is %d bytes, manifest records %d (truncated or partially overwritten)", name, got, want)
+}
+
+// verifyStream checks every byte read against FileBytes and FileSHA256.
+func (s *rawSum) verifyStream(name string, m *Manifest) error {
+	if err := sizeErr(name, s.total, m.FileBytes); err != nil {
+		return err
+	}
+	if got := hex.EncodeToString(s.sha.Sum(nil)); got != m.FileSHA256 {
+		return fmt.Errorf("dataset: %s file hash mismatch (got %s, manifest %s): on-disk corruption", name, got, m.FileSHA256)
+	}
+	return nil
+}
+
+// verifySegment checks the open segment of directory dir against sum.
+func (s *rawSum) verifySegment(dir string, sum *ShardSum) error {
+	name := dir + ": segment " + sum.File
+	if err := sizeErr(name, s.n, sum.Bytes); err != nil {
+		return err
+	}
+	if got := s.crc.Sum32(); got != sum.CRC32C {
+		return fmt.Errorf("dataset: %s checksum mismatch (file %08x, manifest %08x): on-disk corruption", name, got, sum.CRC32C)
+	}
+	return nil
+}
+
 // byteStage fills ring blocks from one file on its own goroutine. Its
 // full channel holds as many blocks as the ring, so the stage only ever
 // waits for a free block.
@@ -114,8 +178,8 @@ type byteStage struct {
 	done chan struct{}
 }
 
-// startBytes starts reading raw, through gz when it is non-nil.
-func startBytes(raw *rawFile, gz *gzip.Reader, rg *ring) *byteStage {
+// startBytes starts reading raw, inflating it when gzipped.
+func startBytes(raw *rawFile, gzipped bool, rg *ring) *byteStage {
 	bs := &byteStage{
 		raw:  raw,
 		ring: rg,
@@ -123,16 +187,16 @@ func startBytes(raw *rawFile, gz *gzip.Reader, rg *ring) *byteStage {
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	var src io.Reader = raw
-	if gz != nil {
-		src = gz
-	}
-	go bs.run(src)
+	go bs.run(gzipped)
 	return bs
 }
 
-func (bs *byteStage) run(src io.Reader) {
+func (bs *byteStage) run(gzipped bool) {
 	defer close(bs.done)
+	var src io.Reader = bs.raw
+	if gzipped {
+		src = inflate(bs.raw)
+	}
 	for {
 		buf := bs.ring.get(bs.quit)
 		if buf == nil {
@@ -150,6 +214,21 @@ func (bs *byteStage) run(src io.Reader) {
 		}
 	}
 }
+
+// inflate returns a reader of raw's inflated bytes. A damaged gzip
+// header fails its first read, ending the stream like damage anywhere
+// else in the file.
+func inflate(raw io.Reader) io.Reader {
+	zr, err := gzip.NewReader(raw)
+	if err != nil {
+		return failedReader{fmt.Errorf("gzip header: %w", err)}
+	}
+	return zr
+}
+
+type failedReader struct{ err error }
+
+func (fr failedReader) Read([]byte) (int, error) { return 0, fr.err }
 
 // fillBlock reads into buf until it is full or src ends.
 func fillBlock(src io.Reader, buf []byte) (int, error) {
@@ -176,7 +255,7 @@ func (bs *byteStage) close(rest bool) error {
 	}
 	var err error
 	if rest {
-		_, err = io.Copy(io.Discard, bs.raw)
+		err = bs.raw.drain()
 	}
 	if cerr := bs.raw.f.Close(); err == nil {
 		err = cerr

@@ -189,10 +189,11 @@ func TestStreamReaderCloseJoinsStages(t *testing.T) {
 	}
 }
 
-// TestStreamReaderSumsAfterEnd reads FileSHA256 and CollectedAt once
-// Next has returned false, which is when the stages have stopped writing
-// them (-race checks that). An unfiltered read hashes the raw bytes of
-// either layout to the manifest's value, at GOMAXPROCS 1 as at 2; a
+// TestStreamReaderSumsAfterEnd reads the raw sums (VerifyBytes) and
+// CollectedAt once Next has returned false, which is when the stages
+// have stopped writing them (-race checks that). An unfiltered read
+// hashes the raw bytes of either layout to the manifest's value, at
+// GOMAXPROCS 1 as at 2; a
 // single file cut short is still hashed to its end, so Load can attach
 // the raw-byte failure to the decode error.
 func TestStreamReaderSumsAfterEnd(t *testing.T) {
@@ -208,10 +209,6 @@ func TestStreamReaderSumsAfterEnd(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, name := range names {
 			path := filepath.Join(dir, name)
-			man, err := ReadManifest(path)
-			if err != nil {
-				t.Fatal(err)
-			}
 			r, err := OpenReader(path)
 			if err != nil {
 				t.Fatal(err)
@@ -220,8 +217,8 @@ func TestStreamReaderSumsAfterEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sha := r.FileSHA256(); sha != man.FileSHA256 {
-				t.Errorf("GOMAXPROCS=%d %s: FileSHA256 %q, manifest %q", procs, name, sha, man.FileSHA256)
+			if err := r.VerifyBytes(); !r.src.hashed || err != nil {
+				t.Errorf("GOMAXPROCS=%d %s: hashed %v, VerifyBytes %v", procs, name, r.src.hashed, err)
 			}
 			if r.CollectedAt() != s.CollectedAt || got.ContentSignature() != s.ContentSignature() {
 				t.Errorf("GOMAXPROCS=%d %s: read back a different snapshot", procs, name)
@@ -236,8 +233,8 @@ func TestStreamReaderSumsAfterEnd(t *testing.T) {
 			if _, err := readAll(r, [3]int{}); err != nil {
 				t.Fatal(err)
 			}
-			if sha := r.FileSHA256(); sha != "" {
-				t.Errorf("GOMAXPROCS=%d %s: a section read hashed the file: %q", procs, name, sha)
+			if r.src.hashed {
+				t.Errorf("GOMAXPROCS=%d %s: a section read hashed the file", procs, name)
 			}
 			r.Close()
 		}
@@ -262,13 +259,9 @@ func TestStreamReaderSumsAfterEnd(t *testing.T) {
 	if _, err := readAll(r, [3]int{}); err == nil {
 		t.Fatal("a bit-flipped .jsonl.gz read without error")
 	}
-	man, err := ReadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.src.raw.total != info.Size() || r.FileSHA256() == "" || r.FileSHA256() == man.FileSHA256 {
-		t.Fatalf("cut-short read hashed %d of %d bytes to %q (manifest %q)",
-			r.src.raw.total, info.Size(), r.FileSHA256(), man.FileSHA256)
+	if r.src.raw.total != info.Size() || !r.src.hashed || r.VerifyBytes() == nil {
+		t.Fatalf("cut-short read hashed %d of %d bytes (hashed %v), VerifyBytes %v",
+			r.src.raw.total, info.Size(), r.src.hashed, r.VerifyBytes())
 	}
 	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "raw-byte check also failed") {
 		t.Fatalf("Load of a bit-flipped .jsonl.gz: want the decode error with the hash error attached, got %v", err)

@@ -310,8 +310,8 @@ func TestOpenReaderStreamsAllSectionsInOrder(t *testing.T) {
 		}
 		last = k
 	}
-	if sha := r.FileSHA256(); sha == "" || sha != r.Manifest().FileSHA256 {
-		t.Fatalf("reader stream hash %q, manifest %q", sha, r.Manifest().FileSHA256)
+	if err := r.VerifyBytes(); !r.src.hashed || err != nil {
+		t.Fatalf("reader stream check: hashed %v, %v", r.src.hashed, err)
 	}
 }
 

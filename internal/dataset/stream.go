@@ -22,7 +22,6 @@ package dataset
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -648,9 +647,9 @@ func OpenSection(path, section string, opts ...Option) (*Reader, error) {
 // openReader opens a reader over one section, or every section when
 // section is "". With verify off — fsck's accumulate-everything mode — a
 // corrupt manifest, a too-new format version or a per-segment checksum
-// mismatch does not stop the read: fsck's structural pass has already
-// recorded them, and it still wants every decodable record. A verified
-// read of every section hashes the raw bytes for FileSHA256.
+// mismatch does not stop the read: fsck records them, and it still wants
+// every decodable record. A read of every section hashes the raw bytes
+// for VerifyBytes.
 func openReader(path, section string, verify bool, o options) (*Reader, error) {
 	gzipped, sharded, err := snapshotPath(path)
 	if err != nil {
@@ -682,7 +681,7 @@ func openReader(path, section string, verify bool, o options) (*Reader, error) {
 			}
 		}
 	}
-	if section == "" && verify {
+	if section == "" {
 		c.raw.sha = sha256.New()
 	}
 	if !sharded {
@@ -772,56 +771,19 @@ func (r *Reader) CollectedAt() int64 { return r.collectedAt }
 // none (or, for fsck's unverified reads, when it is unusable).
 func (r *Reader) Manifest() *Manifest { return r.man }
 
-// FileSHA256 returns the hex SHA-256 of the snapshot's raw bytes — a
-// single file's on-disk (compressed) bytes, a directory's concatenated
-// segments — once an unfiltered OpenReader has read all of them, and ""
-// otherwise. Call it only after Next has returned false: until then the
-// byte stage is still hashing. A single file whose stream ends early on
-// an error is still hashed to its end, so the value is there to compare;
-// a directory's stream ends at the damaged segment and has none.
-func (r *Reader) FileSHA256() string {
-	if !r.src.hashed {
-		return ""
-	}
-	return hex.EncodeToString(r.src.raw.sha.Sum(nil))
-}
-
-// verifyBytes checks the raw bytes against man's FileBytes and
-// FileSHA256. Like FileSHA256, it is nil until they have all been read.
-func (r *Reader) verifyBytes(man *Manifest) error {
-	sha := r.FileSHA256()
-	switch {
-	case sha == "":
+// VerifyBytes checks the raw bytes an OpenReader read — a single
+// file's on-disk (compressed) bytes, a directory's concatenated
+// segments — against the manifest it opened with: their size, then
+// their SHA-256. Call it only once Next has returned false: until then
+// the byte stage is still hashing. It is nil when there is no manifest,
+// for a section read, and for a directory whose stream ended on damage,
+// which Next has already reported; a single file cut short is hashed to
+// its end, so its check still runs.
+func (r *Reader) VerifyBytes() error {
+	if r.man == nil || !r.src.hashed {
 		return nil
-	case r.src.raw.total != man.FileBytes:
-		return fmt.Errorf("dataset: %s is %d bytes, manifest records %d (truncated or partially overwritten)",
-			r.path, r.src.raw.total, man.FileBytes)
-	case sha != man.FileSHA256:
-		return fmt.Errorf("dataset: %s file hash mismatch (got %s, manifest %s): on-disk corruption",
-			r.path, sha, man.FileSHA256)
 	}
-	return nil
-}
-
-// diskBytes is the size on disk of what the Reader reads: the file, or
-// the listed segments of a directory; -1 when one cannot be stat'd.
-func (r *Reader) diskBytes() int64 {
-	paths := []string{r.path}
-	if r.src.sharded {
-		paths = paths[:0]
-		for _, seg := range r.src.segs {
-			paths = append(paths, filepath.Join(r.path, seg.file))
-		}
-	}
-	var n int64
-	for _, p := range paths {
-		info, err := os.Stat(p)
-		if err != nil {
-			return -1
-		}
-		n += info.Size()
-	}
-	return n
+	return r.src.raw.verifyStream(r.path, r.man)
 }
 
 // Close stops and joins the Reader's stages and closes its file. Safe
@@ -1151,16 +1113,7 @@ func (c *chunkStage) openFile(path string) error {
 		return fmt.Errorf("dataset: opening %s: %w", path, err)
 	}
 	c.curPath, c.lineNo = path, 0
-	c.raw.n, c.raw.eof = 0, false
-	raw := &rawFile{f: f, sum: &c.raw}
-	var gz *gzip.Reader
-	if c.gzipped {
-		if gz, err = gzip.NewReader(raw); err != nil {
-			f.Close()
-			return fmt.Errorf("dataset: %s: gzip header: %w", path, err)
-		}
-	}
-	c.in, c.inErr = startBytes(raw, gz, c.ring), nil
+	c.in, c.inErr = startBytes(c.raw.open(f), c.gzipped, c.ring), nil
 	return nil
 }
 
@@ -1192,17 +1145,8 @@ func (c *chunkStage) finishSegmentRead() error {
 	if err := c.closeInput(false); err != nil {
 		return fmt.Errorf("dataset: closing %s: %w", c.curPath, err)
 	}
-	if c.raw.crc != nil {
-		sum := c.segs[c.segAt].sum
-		if c.raw.n != sum.Bytes {
-			return fmt.Errorf("dataset: %s: segment %s is %d bytes, manifest records %d (truncated or partially overwritten)",
-				c.path, sum.File, c.raw.n, sum.Bytes)
-		}
-		if got := c.raw.crc.Sum32(); got != sum.CRC32C {
-			return fmt.Errorf("dataset: %s: segment %s checksum mismatch (file %08x, manifest %08x): on-disk corruption",
-				c.path, sum.File, got, sum.CRC32C)
-		}
-		c.raw.crc = nil
+	if c.raw.crc == nil {
+		return nil
 	}
-	return nil
+	return c.raw.verifySegment(c.path, c.segs[c.segAt].sum)
 }

@@ -216,12 +216,9 @@ func Open(cfg Config) (*Server, error) {
 func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	snap, err := dataset.Load(s.cfg.SnapshotPath)
-	if err != nil {
-		s.metrics.ReloadFailures.Inc()
-		return err
-	}
-	man, err := dataset.ReadManifest(s.cfg.SnapshotPath)
+	// The ETag names the manifest the load verified against; one read
+	// after the load could name a snapshot published meanwhile.
+	snap, man, err := dataset.LoadWithManifest(s.cfg.SnapshotPath)
 	if err != nil {
 		s.metrics.ReloadFailures.Inc()
 		return err
